@@ -28,8 +28,10 @@ def test_figure2_stream_fractions(run_once, repro_size):
             > result.fraction_in_streams("OLTP", SINGLE_CHIP) + 0.2)
 
     # DSS is the least repetitive application class in the multi-chip
-    # context.  (In the paper this also holds for single-chip; in the scaled
-    # model the web single-chip stream fraction is under-reproduced — see
-    # EXPERIMENTS.md — so the single-chip comparison is not asserted here.)
+    # context.  (In the paper this also holds for single-chip.  Here the
+    # single-chip comparison is not asserted: at `small` the traces are too
+    # short for web single-chip misses to repeat, not the model too small.
+    # Apache single-chip is 0.21 at `small` and 0.71 at `large`, where it
+    # does exceed every DSS query; see ROADMAP.md's Baseline section.)
     assert (result.fraction_in_streams("Qry1", MULTI_CHIP)
             < result.fraction_in_streams("Apache", MULTI_CHIP))

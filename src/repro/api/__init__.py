@@ -15,8 +15,8 @@ This package is the composition layer over the rest of the library:
 * :mod:`~repro.api.plan` — :func:`build_plan` resolving a spec into an
   explicit capture -> summarize -> simulate -> analyze -> render DAG, and
   :func:`execute_plan`, the event-driven scheduler submitting each stage to
-  an execution backend the moment its dependencies land (with replay,
-  checkpoint resume, and epoch-sharded simulation per cell).
+  an execution backend the moment its dependencies land (with replay and
+  checkpoint resume per cell).
 * :mod:`~repro.api.executor` — the :class:`Executor` protocol plus the four
   built-in backends (``serial``/``thread``/``process``/``dispatch``); new
   backends plug in via :func:`register_executor`.

@@ -14,10 +14,8 @@ Four backends ship, all registered in :data:`repro.api.registry.EXECUTORS`
 ``serial``
     Runs every stage inline, in submission (topological) order — the
     reference semantics and the default.  Because it executes in the parent
-    process, a simulate stage may still drop *below* stage granularity and
-    epoch-shard itself over a process pool when boundary checkpoints exist
-    (the historical ``ParallelSuiteRunner`` behaviour, now a stage-internal
-    detail).
+    process, a summarize stage may still fan its epoch segments out over a
+    process pool (a stage-internal detail).
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Stages share the
     parent's memo and stores directly; useful when stages are dominated by
@@ -51,7 +49,7 @@ Two submission levels:
   turns the future's raw value into ``(status, payload)``.
 * :meth:`Executor.submit_call` — one picklable ``fn(*args)``; the raw
   fan-out primitive :class:`~repro.experiments.parallel.ParallelSuiteRunner`
-  uses for sub-stage work (per-epoch summaries, epoch-range shards).
+  uses for sub-stage work (per-epoch summaries, per-cell suite jobs).
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ def session_config(session: "Session", shard: bool = False) -> Dict[str, Any]:
     """The picklable/JSON-able policy a stage needs to run anywhere.
 
     ``shard`` marks that the stage executes in the parent process and may
-    therefore open its own process pool for epoch-sharded simulation.
+    therefore open its own process pool for the epoch-sharded counting pass.
     """
     return {"cache_dir": session.cache_dir,
             "streaming": session.streaming,
@@ -193,8 +191,7 @@ def _stage_simulate(params: Dict[str, Any],
     The per-context status ("cached" vs "ran") is decided *before* running,
     so an analyze stage can report whether its bundle pre-existed in the
     memo/disk store — the same contract the batched suite path used to
-    provide.  Epoch-sharded simulation stays available as a stage-internal
-    detail when the stage executes in the parent (``config["shard"]``).
+    provide.
     """
     from ..experiments.runner import (bundle_status, clamp_warmup_fraction,
                                       run_context)
@@ -203,24 +200,10 @@ def _stage_simulate(params: Dict[str, Any],
     scale, size, seed = params["scale"], params["size"], params["seed"]
     warmup = clamp_warmup_fraction(params["warmup"])
     session = _config_session(config)
-    store = session.result_store
     contexts = SYSTEMS.get(organisation).contexts
     statuses = {context: bundle_status(workload, context, size, seed, scale,
-                                       warmup, store=store)
+                                       warmup, session)
                 for context in contexts}
-    if config.get("shard") and config.get("max_workers") != 1:
-        from ..experiments.parallel import ParallelSuiteRunner
-        runner = ParallelSuiteRunner(
-            max_workers=config.get("max_workers"),
-            streaming=session.streaming, cache_dir=session.cache_dir,
-            replay=session.replay, checkpoint=session.checkpoint,
-            resume=session.resume)
-        if runner._shardable(workload, organisation, size, seed, scale,
-                             warmup):
-            bundles = runner._run_sharded(workload, organisation, size, seed,
-                                          scale, warmup)
-            return _merge_statuses(statuses), {"statuses": statuses,
-                                               "bundles": bundles}
     bundles = {context: run_context(workload, context, size=size, seed=seed,
                                     scale=scale, warmup_fraction=warmup,
                                     session=session)
@@ -310,7 +293,7 @@ class Executor(ABC):
     #: Registry name; set by subclasses.
     name = "base"
     #: Whether submitted stages run in the parent process, which permits
-    #: stage-internal pool use (epoch sharding).
+    #: stage-internal pool use (the epoch-sharded counting pass).
     runs_in_parent = False
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
@@ -390,8 +373,7 @@ class SerialExecutor(Executor):
     """Run every stage inline, in submission order (the reference backend).
 
     Executing in the parent keeps the historical semantics exactly: one
-    stage at a time, deterministic order, and epoch-sharded simulation
-    below stage granularity whenever boundary checkpoints make it pay.
+    stage at a time, in deterministic order.
     """
 
     name = "serial"

@@ -457,20 +457,24 @@ def _run_inline_stage(stage: Stage, session, payloads: Dict[str, Any],
         context = params["context"]
         return sim["statuses"][context], sim["bundles"][context]
     if stage.kind == "prefetch":
+        # A CoverageResult is a finished artifact like any bundle: served
+        # from the result store when present, whatever the checkpoint policy.
         from ..experiments.runner import clamp_warmup_fraction
         from ..prefetch.base import coverage_params, evaluate_coverage
-        factory = PREFETCHERS.get(params["prefetcher"])
-        bundle = payloads[stage.deps[0]]
-        store = (getattr(session, "checkpoint_store", None)
-                 if getattr(session, "checkpoint", True) else None)
+        store = getattr(session, "result_store", None)
         key = coverage_params(
             params["prefetcher"], params["workload"], params["context"],
             params.get("size", "small"), params.get("seed", 42),
-            params["scale"],
-            clamp_warmup_fraction(params["warmup"])) if store else None
-        return "ran", evaluate_coverage(
-            factory(), bundle.miss_trace, store=store, params=key,
-            resume=bool(getattr(session, "resume", True)))
+            params["scale"], clamp_warmup_fraction(params["warmup"]))
+        cached = store.load("coverage", key) if store is not None else None
+        if cached is not None:
+            return "cached", cached
+        bundle = payloads[stage.deps[0]]
+        coverage = evaluate_coverage(PREFETCHERS.get(params["prefetcher"])(),
+                                     bundle.miss_trace)
+        if store is not None:
+            store.save("coverage", key, coverage)
+        return "ran", coverage
     if stage.kind == "render":
         adapter = ANALYSES.get(params["analysis"])
         return "ran", adapter(session=session, spec=result.spec,
@@ -480,20 +484,21 @@ def _run_inline_stage(stage: Stage, session, payloads: Dict[str, Any],
 
 
 def _record_payload(stage: Stage, status: str, payload: Any,
-                    result: PlanResult) -> None:
+                    result: PlanResult, session) -> None:
     """File a finished stage's payload under the right PlanResult index."""
     params = stage.params
     if stage.kind == "summarize" and payload is not None:
         result.summaries[(params["workload"], params["n_cpus"])] = payload
     elif stage.kind == "simulate" and payload is not None:
-        # Warm the parent memo so render adapters (and later sessions in
-        # this process) reuse the bundles without touching the disk store.
+        # Warm the parent memo so render adapters (and later sessions on
+        # this root in this process) reuse the bundles without touching the
+        # disk store.
         from ..experiments.runner import _CACHE, clamp_warmup_fraction, \
             memo_key
         warmup = clamp_warmup_fraction(params["warmup"])
         for context, bundle in payload["bundles"].items():
-            _CACHE[memo_key(params["workload"], context, params["size"],
-                            params["seed"], params["scale"],
+            _CACHE[memo_key(session.cache_dir, params["workload"], context,
+                            params["size"], params["seed"], params["scale"],
                             warmup)] = bundle
     elif stage.kind == "analyze":
         result.bundles[(params["workload"], params["context"],
@@ -587,7 +592,7 @@ def execute_plan(plan: Plan, session, executor=None,
     def settle(stage: Stage, status: str, payload: Any) -> None:
         result.statuses[stage.key] = status
         payloads[stage.key] = payload
-        _record_payload(stage, status, payload, result)
+        _record_payload(stage, status, payload, result, session)
         events.on_stage_finish(stage, status)
         for dep_key in dependents.get(stage.key, ()):
             remaining[dep_key].discard(stage.key)

@@ -58,8 +58,8 @@ class Session:
         Root for all three stores; ``None`` resolves ``REPRO_CACHE_DIR`` /
         ``~/.cache/repro`` at each access.
     max_workers:
-        Process-pool width for suite sweeps and epoch-sharded simulation;
-        ``None`` lets the executor pick (cpu count), ``1`` runs inline.
+        Process-pool width for suite sweeps and the epoch-sharded counting
+        pass; ``None`` lets the executor pick (cpu count), ``1`` runs inline.
     streaming / replay / checkpoint / resume:
         Pipeline policy, with the same meaning as the historical per-call
         flags (see :mod:`repro.experiments.runner`).
@@ -246,9 +246,9 @@ class Session:
               ) -> Dict[str, Dict[str, "ContextResult"]]:
         """The evaluation sweep over this session's process pool.
 
-        Fans out per (workload, organisation) and — when a captured trace
-        has boundary checkpoints — shards single simulations across epoch
-        ranges (see :meth:`ParallelSuiteRunner.run_suite`).
+        Fans out one task per (workload, organisation) cell (see
+        :meth:`ParallelSuiteRunner.run_suite`); a simulation never splits
+        below its cell.
         """
         from ..experiments import runner
         from ..workloads import WORKLOAD_NAMES

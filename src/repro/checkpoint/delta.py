@@ -1,10 +1,10 @@
 """Delta-encoded, content-addressed checkpoint chains.
 
-A full checkpoint copies the whole system snapshot every time it is taken,
-and the snapshot's dominant component — the accumulated miss trace — grows
-linearly with the run, so per-epoch checkpointing of a long trace costs more
-than the simulation itself (the historical ~12-snapshots-per-run throttle).
-This module stores snapshots as *chains* instead:
+A whole snapshot copies all system state every time it is taken, and its
+dominant component — the accumulated miss trace — grows linearly with the
+run, so snapshotting many boundaries of a long trace whole would cost more
+than the simulation itself.  This module stores snapshots as *chains*
+instead:
 
 * a snapshot is split into **sections** (each cache, each classification
   history, each miss trace) plus inline scalars;
@@ -32,10 +32,9 @@ This module stores snapshots as *chains* instead:
 
 :func:`load_chain` folds a chain back into the exact snapshot dict —
 bit-identical (including key order) to the state that was saved — and the
-store's ``load``/``latest`` treat manifests and legacy ``.ckpt.gz`` files
-interchangeably.  A torn chunk or manifest is a warn-and-drop miss, so
-``latest`` transparently falls back to the nearest earlier loadable (full)
-boundary.
+store's ``load``/``latest`` restore through it.  A torn chunk or manifest is
+a warn-and-drop miss, so ``latest`` transparently falls back to the nearest
+earlier loadable (full) boundary.
 """
 
 from __future__ import annotations

@@ -1,26 +1,21 @@
 """Versioned, compressed on-disk encoding of system snapshots.
 
-A checkpoint file holds one gzip-compressed pickle of a plain-structure
-payload::
+A snapshot is stored as a delta-chain *manifest* (JSON, one per epoch
+boundary, see :mod:`repro.checkpoint.delta`) over content-addressed
+*chunks*: each chunk is one gzip-compressed pickle of a plain-structure
+section payload, named by the sha256 of the uncompressed pickle.
 
-    {"format_version": 1,
-     "params": {...},        # the CheckpointStore key that owns this file
-     "epoch": 7,             # state after replaying epochs [0, 7)
-     "state": {...}}         # a system model's snapshot() dict
-
-The ``state`` dicts come from the ``snapshot()`` methods of the memory
+The section payloads come from the ``snapshot()`` methods of the memory
 models (:class:`~repro.mem.multichip.MultiChipSystem`,
-:class:`~repro.mem.singlechip.SingleChipSystem`) and the prefetchers; they
-contain only builtin containers and scalars, so the pickle payload is stable
-across refactors of the model classes.  Bump
-:data:`CHECKPOINT_FORMAT_VERSION` whenever the payload layout or any
-``snapshot()`` schema changes incompatibly — the store namespaces entries by
-this version (and the package version), so old checkpoints are orphaned
-rather than restored into incompatible models.
+:class:`~repro.mem.singlechip.SingleChipSystem`); they contain only builtin
+containers and scalars, so the pickles are stable across refactors of the
+model classes.  Bump :data:`CHECKPOINT_FORMAT_VERSION` whenever the layout
+or any ``snapshot()`` schema changes incompatibly — the store namespaces
+entries by this version (and the package version), so old checkpoints are
+orphaned rather than restored into incompatible models.
 
-gzip frames are written with ``mtime=0`` so encoding the same state twice
-produces byte-identical files (checkpoints written by a rerun or a parallel
-worker race benignly).
+gzip frames are written with ``mtime=0`` so encoding the same payload twice
+produces byte-identical chunks (writers of identical state race benignly).
 """
 
 from __future__ import annotations
@@ -28,14 +23,11 @@ from __future__ import annotations
 import gzip
 import hashlib
 import pickle
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 #: Bump when the checkpoint payload layout (or any snapshot schema) changes
 #: incompatibly.
 CHECKPOINT_FORMAT_VERSION = 2
-
-#: File-name suffix of one committed checkpoint.
-CHECKPOINT_SUFFIX = ".ckpt.gz"
 
 #: File-name suffix of one delta-chain manifest (JSON, referencing
 #: content-addressed chunks; see :mod:`repro.checkpoint.delta`).
@@ -48,21 +40,6 @@ DELTA_FULL_EVERY = 8
 
 class CheckpointCorruptError(RuntimeError):
     """A checkpoint file is unreadable or inconsistent with its header."""
-
-
-def checkpoint_name(epoch: int) -> str:
-    """File name of the checkpoint taken at epoch boundary ``epoch``."""
-    if epoch < 0:
-        raise ValueError("checkpoint epoch must be >= 0")
-    return f"epoch-{epoch:06d}{CHECKPOINT_SUFFIX}"
-
-
-def parse_checkpoint_name(name: str) -> int:
-    """Epoch index encoded in a checkpoint file name, or -1 when foreign."""
-    if not (name.startswith("epoch-") and name.endswith(CHECKPOINT_SUFFIX)):
-        return -1
-    digits = name[len("epoch-"):-len(CHECKPOINT_SUFFIX)]
-    return int(digits) if digits.isdigit() else -1
 
 
 def chain_name(epoch: int) -> str:
@@ -85,8 +62,9 @@ def encode_chunk(payload: Any) -> Tuple[str, bytes]:
 
     The digest addresses the *uncompressed* pickle, so identical payloads
     dedupe to one chunk file regardless of when (or by which run) they were
-    written; the blob is the same deterministic gzip framing full
-    checkpoints use (``mtime=0``, level 1).
+    written; the blob is deterministic gzip framing (``mtime=0``, level 1:
+    chunk writes sit on the simulation's critical path, and snapshots
+    compress well even at level 1).
     """
     raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(raw).hexdigest()
@@ -116,47 +94,3 @@ def decode_chunk(blob: bytes, digest: str) -> Any:
             IndexError, TypeError, ValueError) as exc:
         raise CheckpointCorruptError(f"unpicklable chunk {digest[:12]}: "
                                      f"{exc}") from exc
-
-
-def encode_checkpoint(params: Dict[str, Any], epoch: int,
-                      state: Dict[str, Any]) -> bytes:
-    """Serialise one snapshot into a compressed checkpoint blob."""
-    payload = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "params": dict(params),
-        "epoch": int(epoch),
-        "state": state,
-    }
-    raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    # Low compression level: checkpoint writes sit on the simulation's
-    # critical path, and system snapshots compress well even at level 1.
-    return gzip.compress(raw, compresslevel=1, mtime=0)
-
-
-def decode_checkpoint(blob: bytes) -> Tuple[Dict[str, Any], int,
-                                            Dict[str, Any]]:
-    """Decode a checkpoint blob into ``(params, epoch, state)``.
-
-    Raises :class:`CheckpointCorruptError` on any defect — truncated gzip
-    frame, unpicklable payload, missing keys, or a format-version mismatch —
-    so callers have exactly one error to turn into a warn-and-drop.
-    """
-    try:
-        payload = pickle.loads(gzip.decompress(blob))
-        version = int(payload["format_version"])
-        params = dict(payload["params"])
-        epoch = int(payload["epoch"])
-        state = payload["state"]
-    except (OSError, EOFError, KeyError, TypeError, ValueError,
-            pickle.UnpicklingError, AttributeError, ImportError,
-            IndexError) as exc:
-        raise CheckpointCorruptError(
-            f"unreadable checkpoint payload: {exc}") from exc
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointCorruptError(
-            f"checkpoint has format version {version}, expected "
-            f"{CHECKPOINT_FORMAT_VERSION}")
-    if not isinstance(state, dict):
-        raise CheckpointCorruptError(
-            f"checkpoint state is {type(state).__name__}, expected dict")
-    return params, epoch, state

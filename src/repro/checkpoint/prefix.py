@@ -10,17 +10,17 @@ identity:
 * :func:`prefix_params` — a checkpoint-store key like
   :func:`~repro.checkpoint.store.checkpoint_params` but *without* the
   warm-up fraction (plus a ``prefix`` marker), so every cell of a group —
-  and every later sweep over the same trace — resolves the same chain;
+  and every later sweep over the same trace — resolves the same checkpoint;
 * :func:`shared_prefix_groups` — which (workload, organisation, scale)
   combinations of a spec deserve a prefix stage (at least two distinct
   clamped warm-ups, none of them zero);
 * :func:`publish_prefix` — the ``prefix`` stage body: simulate the trace up
   to the last warmup-independent epoch boundary of the group's *smallest*
-  warm-up with recording off throughout, leaving the boundary checkpoint
-  chain under the prefix key.  Runs on any executor backend — dispatch
-  workers resolve the same shared cache root — and resumes from its own
-  earlier (shorter) prefix chains, so successive sweeps extend rather than
-  recompute.
+  warm-up with recording off throughout, and write exactly one checkpoint,
+  at that boundary, under the prefix key.  Runs on any executor backend —
+  dispatch workers resolve the same shared cache root — and resumes from
+  its own earlier (shorter) prefix checkpoints, so successive sweeps extend
+  rather than recompute.
 
 The consumer side is opportunistic: :func:`simulate_replay` takes the
 prefix key plus the cell's own warmup-derived epoch limit and restores
@@ -42,7 +42,8 @@ def prefix_params(workload: str, n_cpus: int, seed: int, size: str,
     """The checkpoint-store key of one shared simulation prefix.
 
     Warm-up is deliberately absent: the prefix only ever covers epochs
-    every warm-up in the group agrees on, so one chain serves them all.
+    every warm-up in the group agrees on, so one checkpoint serves them
+    all.
     The ``prefix`` marker keeps these runs from colliding with any cell's
     own checkpoint key.
     """
@@ -79,14 +80,16 @@ def publish_prefix(workload: str, organisation: str, size: str, seed: int,
     ``warmup_fraction`` is the group's smallest (clamped) warm-up; the
     prefix runs to the last epoch boundary that fits inside it, with
     recording off for the whole range (``warmup = n_accesses``) — exactly
-    the state every member cell passes through.  Publishing is idempotent:
-    an existing boundary chain is ``"cached"``, a missing trace or store is
-    ``"skipped"`` (the member cells then simply run cold).
+    the state every member cell passes through — and snapshots that one
+    boundary.  Publishing is idempotent: an existing boundary checkpoint is
+    ``"cached"``, a missing trace or store is ``"skipped"`` (the member
+    cells then simply run cold).
     """
     from ..api.registry import SYSTEMS
     from ..trace import get_trace_store, trace_params
     from ..trace.epoch import boundary_at_or_before
-    from .replay import simulate_replay
+    from .delta import DeltaChainWriter
+    from .replay import accesses_before, restore_latest
     from .store import get_checkpoint_store
 
     trace_store = get_trace_store(cache_dir)
@@ -107,7 +110,9 @@ def publish_prefix(workload: str, organisation: str, size: str, seed: int,
     if stop in ckpt_store.epochs(key):
         return "cached"
     system = factory(scale=scale)
-    simulate_replay(system, reader, warmup=reader.n_accesses,
-                    store=ckpt_store, params=key, resume=resume,
-                    stop_epoch=stop)
+    start = restore_latest(system, ckpt_store, key, stop) if resume else 0
+    system.run_chunks(reader.iter_epochs(start, stop),
+                      warmup=reader.n_accesses,
+                      seen=accesses_before(reader, start))
+    DeltaChainWriter(ckpt_store, key).save(stop, system.snapshot())
     return "ran"

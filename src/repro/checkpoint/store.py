@@ -2,10 +2,13 @@
 
 Sits alongside the trace and result stores under the same cache root::
 
-    <root>/checkpoints/v<format>-<package version>/<param slug>/
-        epoch-000004.ckpt.gz
-        epoch-000008.ckpt.gz
-        ...
+    <root>/checkpoints/v<format>-<package version>/
+        <param slug>/epoch-000004.chain.json   one manifest per boundary
+        <param slug>/epoch-000008.chain.json
+        chunks/<sha256[:2]>/<sha256>          content-addressed sections
+
+Every boundary is a delta-chain manifest over shared chunks (see
+:mod:`repro.checkpoint.delta`, which writes them).
 
 A checkpoint run is keyed by everything that determines system state at an
 epoch boundary: the trace key ``(workload, n_cpus, seed, size)`` — epochs
@@ -15,10 +18,10 @@ snapshot carries).  Entries are namespaced by the checkpoint format version
 **and** the package version (model semantics change with releases), so
 either bump orphans old checkpoints rather than restoring stale state.
 
-Corrupt or truncated checkpoint files are a *miss*, not an error: ``load``
-warns, unlinks the file, and returns ``None`` so the caller re-simulates
-(mirroring ``ResultStore.load``); ``latest`` transparently falls back to the
-next older epoch.
+Corrupt or truncated manifests and chunks are a *miss*, not an error:
+``load`` warns, unlinks the manifest, and returns ``None`` so the caller
+re-simulates (mirroring ``ResultStore.load``); ``latest`` transparently
+falls back to the next older epoch.
 
 Module-level :data:`STATS` counts saves/loads/misses/resumes for this
 process; tests and the CLI use it to prove a run resumed from disk instead
@@ -41,9 +44,8 @@ from ..cachedir import default_cache_root, params_slug
 from ..obs.metrics import REGISTRY
 from ..trace.format import DEFAULT_EPOCH_SIZE
 from .format import (CHECKPOINT_FORMAT_VERSION, CheckpointCorruptError,
-                     chain_name, checkpoint_name, decode_checkpoint,
-                     decode_chunk, encode_checkpoint, encode_chunk,
-                     parse_chain_name, parse_checkpoint_name)
+                     chain_name, decode_chunk, encode_chunk,
+                     parse_chain_name)
 
 #: Subdirectory of the cache root holding all checkpoint versions.
 CHECKPOINTS_SUBDIR = "checkpoints"
@@ -119,9 +121,6 @@ class CheckpointStore:
     def path_for(self, params: Dict[str, Any]) -> Path:
         """The directory the checkpoints of one run live in."""
         return self.version_dir / params_slug(params)
-
-    def file_for(self, params: Dict[str, Any], epoch: int) -> Path:
-        return self.path_for(params) / checkpoint_name(epoch)
 
     # ------------------------------------------------------------------ #
     # content-addressed chunks and chain manifests (delta checkpoints)
@@ -227,52 +226,16 @@ class CheckpointStore:
             raise
 
     # ------------------------------------------------------------------ #
-    def save(self, params: Dict[str, Any], epoch: int,
-             state: Dict[str, Any]) -> Path:
-        """Atomically persist one snapshot at epoch boundary ``epoch``.
-
-        Writes to a temporary sibling and ``os.replace``s it into place, so
-        concurrent writers of the same (identical-by-construction) state
-        race benignly.
-        """
-        path = self.file_for(params, epoch)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._write_atomic(path, encode_checkpoint(params, epoch, state))
-        STATS.saves += 1
-        return path
-
     def load(self, params: Dict[str, Any],
              epoch: int) -> Optional[Dict[str, Any]]:
         """The snapshot state at ``epoch``, or ``None`` on miss.
 
-        Resolves both encodings at a boundary — a legacy full ``.ckpt.gz``
-        file or a delta-chain manifest (folded via
+        Folds the delta chain ending at ``epoch`` (via
         :func:`repro.checkpoint.delta.load_chain`).  A corrupt or truncated
-        file anywhere on the way is dropped with a warning and treated as a
-        miss, so an interrupted writer can never wedge later runs.
+        manifest or chunk anywhere on the way is dropped with a warning and
+        treated as a miss, so an interrupted writer can never wedge later
+        runs.
         """
-        path = self.file_for(params, epoch)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return self._load_chain(params, epoch)
-        except OSError as exc:
-            self._drop(path, exc)
-            return None
-        try:
-            _, stored_epoch, state = decode_checkpoint(blob)
-            if stored_epoch != epoch:
-                raise CheckpointCorruptError(
-                    f"file {path.name} holds epoch {stored_epoch}")
-        except CheckpointCorruptError as exc:
-            self._drop(path, exc)
-            return None
-        STATS.loads += 1
-        return state
-
-    def _load_chain(self, params: Dict[str, Any],
-                    epoch: int) -> Optional[Dict[str, Any]]:
-        """Fold the delta chain at ``epoch``; ``None`` on miss/corruption."""
         from . import delta  # function-level: delta imports this module
         path = self.chain_file_for(params, epoch)
         if not path.is_file():
@@ -304,15 +267,11 @@ class CheckpointStore:
     # ------------------------------------------------------------------ #
     @staticmethod
     def epochs_in(run_dir: Path) -> List[int]:
-        """Sorted epoch boundaries stored in one run directory.
-
-        A boundary may be held by a legacy full file, a chain manifest, or
-        (benignly, after a format migration mid-run) both.
-        """
+        """Sorted epoch boundaries with a chain manifest in one run directory."""
         if not run_dir.is_dir():
             return []
-        found = {max(parse_checkpoint_name(p.name), parse_chain_name(p.name))
-                 for p in run_dir.iterdir() if p.is_file()}
+        found = {parse_chain_name(p.name) for p in run_dir.iterdir()
+                 if p.is_file()}
         return sorted(epoch for epoch in found if epoch >= 0)
 
     def epochs(self, params: Dict[str, Any]) -> List[int]:
@@ -354,11 +313,9 @@ class CheckpointStore:
                       if p.is_dir() and p.name != CHUNKS_SUBDIR)
 
     def entries(self) -> List[Path]:
-        """All checkpoint files (full and chain) across every version."""
+        """All chain manifests across every version."""
         return sorted(p for run in self.runs() for p in run.iterdir()
-                      if p.is_file()
-                      and max(parse_checkpoint_name(p.name),
-                              parse_chain_name(p.name)) >= 0)
+                      if p.is_file() and parse_chain_name(p.name) >= 0)
 
     def size_bytes(self) -> int:
         """Total bytes on disk: checkpoint entries plus shared chunks."""
@@ -366,12 +323,9 @@ class CheckpointStore:
                 + sum(p.stat().st_size for p in self.chunk_files()))
 
     def entry_size(self, params: Dict[str, Any], epoch: int) -> int:
-        """Bytes this boundary occupies: its file/manifest plus the chunks
-        its manifest references (shared chunks counted in full here)."""
+        """Bytes this boundary occupies: its manifest plus the chunks it
+        references (shared chunks counted in full here)."""
         total = 0
-        legacy = self.file_for(params, epoch)
-        if legacy.is_file():
-            total += legacy.stat().st_size
         chain = self.chain_file_for(params, epoch)
         if chain.is_file():
             total += chain.stat().st_size
@@ -385,8 +339,6 @@ class CheckpointStore:
 
     def entry_kind(self, params: Dict[str, Any], epoch: int) -> str:
         """``"full"``, ``"delta"``, or ``"?"`` for one stored boundary."""
-        if self.file_for(params, epoch).is_file():
-            return "full"
         manifest = self.load_chain_manifest(params, epoch)
         if manifest is not None:
             return str(manifest.get("kind", "?"))

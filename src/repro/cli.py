@@ -80,7 +80,8 @@ flags and drives the pipeline through it.  All subcommands share
 accept ``--replay/--no-replay`` to control access-stream capture/replay
 through the trace store (default: replay) and
 ``--checkpoint/--no-checkpoint`` / ``--resume/--no-resume`` to control
-epoch-boundary snapshots and resuming from them (default: both on).
+crash-resume snapshots of long simulations and resuming from them (default:
+both on).
 
 Spec-driven executions additionally accept ``--executor
 serial|thread|process|dispatch|auto`` to pick the stage execution backend
@@ -128,8 +129,9 @@ def _add_run_params(parser: argparse.ArgumentParser) -> None:
                              "(default: --replay)")
     parser.add_argument("--checkpoint", action=argparse.BooleanOptionalAction,
                         default=True,
-                        help="write epoch-boundary system snapshots during "
-                             "replayed simulations (default: --checkpoint)")
+                        help="let long replayed simulations snapshot an "
+                             "epoch boundary for crash-resume, and publish "
+                             "warm-start prefixes (default: --checkpoint)")
     parser.add_argument("--resume", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="resume a replayed simulation from its latest "
@@ -1100,16 +1102,13 @@ def _cmd_checkpoint_list(args: argparse.Namespace) -> int:
         return 2
     import json
 
-    from .checkpoint.format import chain_name, checkpoint_name
+    from .checkpoint.format import chain_name
     print(store.describe())
     for run_dir in sorted(store.runs(), key=lambda p: (p.name, str(p))):
         epochs = store.epochs_in(run_dir)
         kinds = []
         chunk_refs = set()
         for epoch in epochs:
-            if (run_dir / checkpoint_name(epoch)).is_file():
-                kinds.append("full")
-                continue
             try:
                 manifest = json.loads(
                     (run_dir / chain_name(epoch)).read_text(encoding="utf-8"))
@@ -1181,10 +1180,13 @@ def _cmd_checkpoint_info(args: argparse.Namespace) -> int:
                                **kwargs)
     epochs = store.epochs(params)
     if not epochs:
-        print(f"no checkpoints for {params}; run "
-              f"`python -m repro run {args.workload} {args.organisation} "
-              f"--size {args.size}` (with replay enabled) to create them",
-              file=sys.stderr)
+        from .checkpoint.replay import CHECKPOINT_INTERVAL_S
+        print(f"no checkpoints for {params}; a replayed simulation "
+              f"snapshots an epoch boundary only after "
+              f"{CHECKPOINT_INTERVAL_S:g} s of simulation and never its "
+              f"last one (a finished cell lives in the result store), so "
+              f"only an interrupted long run of this configuration leaves "
+              f"checkpoints behind", file=sys.stderr)
         return 1
     run_dir = store.path_for(params)
     print(f"{args.workload} / {args.organisation} (size={args.size}, "

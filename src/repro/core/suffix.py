@@ -2,9 +2,10 @@
 
 The paper uses SEQUITUR to locate repetitive subsequences; this module
 provides an independent detector used for cross-validation (ablation A2 in
-DESIGN.md) and as a model of how an actual temporal-streaming prefetcher
-locates streams: keep an index of previously-seen digrams, and on each miss
-greedily extend a match against the most recent earlier occurrence.
+:mod:`repro.experiments.ablation`) and as a model of how an actual
+temporal-streaming prefetcher locates streams: keep an index of
+previously-seen digrams, and on each miss greedily extend a match against
+the most recent earlier occurrence.
 
 The two detectors need not agree exactly — SEQUITUR builds maximal shared
 structure while the greedy matcher is online — but the repetitive fraction

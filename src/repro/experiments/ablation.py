@@ -1,4 +1,7 @@
-"""Ablation experiments (our additions; called out in DESIGN.md).
+"""Ablation experiments (our additions beyond the paper).
+
+``benchmarks/test_ablation_prefetchers.py`` and
+``benchmarks/test_ablation_stream_finders.py`` check A1 and A2 below.
 
 * **A1 — prefetcher coverage**: replay the per-context miss traces against
   the temporal-streaming and stride prefetcher models and compare coverage.

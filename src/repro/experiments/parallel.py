@@ -18,49 +18,28 @@ the parent's in-process memo is warm afterwards.  A re-run of the suite is
 therefore served entirely from the disk cache without spawning simulations
 at all.
 
-Cells whose captured trace already carries epoch-boundary checkpoints skip
-the one-worker-per-organisation path entirely: :meth:`ParallelSuiteRunner.run_suite`
-simulates them via epoch-sharded :meth:`~ParallelSuiteRunner.simulate_trace`
-(each shard restores its boundary snapshot), so the sweep parallelises
-*below* (workload, organisation) granularity whenever snapshots exist.
-
-Captured traces additionally let parallelism drop *below* the
-(workload, organisation) granularity: a trace's self-describing epoch
-segments are independent units, so :meth:`ParallelSuiteRunner.summarize_trace`
-fans a single stream's counting pass out per-epoch — each worker decodes
-exactly one segment — and folds the per-epoch summaries back together in
+Simulation itself never splits below one (workload, organisation) cell: a
+cell's epochs depend on every epoch before them.  Only the *counting* pass
+over a captured trace fans out further —
+:meth:`ParallelSuiteRunner.summarize_trace` decodes one self-describing
+epoch segment per worker and folds the per-epoch summaries back together in
 epoch order, which makes the merge deterministic regardless of completion
 order.
-
-Epoch-boundary checkpoints push the same idea from *counting* to full
-*simulation*: once a serial pass has stored snapshots at epoch boundaries,
-:meth:`ParallelSuiteRunner.simulate_trace` splits the trace into epoch
-ranges at available checkpoints, each worker restores the snapshot at its
-range's start and simulates only its own epochs, and the per-range miss
-records concatenate in epoch order into a trace bit-identical to a serial
-run — wall clock drops to roughly one shard plus the merge.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from concurrent.futures import as_completed
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..api.registry import SYSTEMS
 from ..api.session import Session
-from ..checkpoint import (checkpoint_params, get_checkpoint_store,
-                          simulate_epoch_range)
 from ..mem.config import DEFAULT_SCALE
-from ..mem.trace import MissTrace
-from ..trace import (EpochSummary, TraceReader, get_trace_store,
-                     merge_summaries, summarize_trace_epoch, trace_params)
+from ..trace import (EpochSummary, TraceReader, merge_summaries,
+                     summarize_trace_epoch)
 from ..workloads import WORKLOAD_NAMES
 from .runner import (ContextResult, DEFAULT_WARMUP_FRACTION, _CACHE,
-                     _analyze, _build_system, _result_params,
-                     clamp_warmup_fraction, get_store as runner_get_store,
-                     memo_key, run_context)
+                     clamp_warmup_fraction, memo_key, run_context)
 
 
 def organisation_contexts() -> Dict[str, Tuple[str, ...]]:
@@ -121,29 +100,6 @@ def _capture_stream_job(job: Tuple) -> Tuple[Tuple[str, int], str]:
     return (workload, n_cpus), status
 
 
-def _simulate_shard_job(job: Tuple) -> Tuple[int, Dict[str, list], int]:
-    """Worker entry point: simulate one epoch range of one captured trace.
-
-    Module-level so it pickles under both fork and spawn start methods; the
-    worker opens the trace directory, restores the checkpoint at its start
-    epoch (if any), and replays only its own epochs.
-    """
-    (trace_path, organisation, scale, warmup_fraction, start_epoch,
-     stop_epoch, cache_dir) = job
-    reader = TraceReader(trace_path)
-    system = _build_system(organisation, scale)
-    fraction = clamp_warmup_fraction(warmup_fraction)
-    warmup = int(reader.n_accesses * fraction)
-    store = get_checkpoint_store(cache_dir)
-    params = checkpoint_params(
-        str(reader.params["workload"]), int(reader.params["n_cpus"]),
-        int(reader.params["seed"]), str(reader.params["size"]),
-        organisation, scale, fraction, epoch_size=reader.meta.epoch_size)
-    deltas, instructions = simulate_epoch_range(
-        system, reader, start_epoch, stop_epoch, warmup, store, params)
-    return start_epoch, deltas, instructions
-
-
 def _summarize_epoch_job(job: Tuple) -> Tuple[int, EpochSummary]:
     """Worker entry point: summarise one epoch segment of one trace.
 
@@ -173,8 +129,8 @@ class ParallelSuiteRunner:
         Passed through to the runner: capture/replay access streams via the
         trace store when True (default), always re-generate when False.
     checkpoint / resume:
-        Passed through to the runner: write epoch-boundary system snapshots
-        during replayed simulations, and restore the latest one instead of
+        Passed through to the runner: snapshot long replayed simulations
+        for crash-resume, and restore the latest snapshot instead of
         simulating from access zero.
     """
 
@@ -217,72 +173,6 @@ class ParallelSuiteRunner:
                 for workload in workloads
                 for organisation in organisations]
 
-    def _shardable(self, workload: str, organisation: str, size: str,
-                   seed: int, scale: int, warmup_fraction: float) -> bool:
-        """True when this (workload, organisation) cell should be simulated
-        via epoch-sharded parallel simulation instead of one pool worker.
-
-        Sharding pays off exactly when real simulation work remains *and*
-        the boundary snapshots to split it are already on disk: the analysis
-        bundle is absent from memo and disk store, a captured trace exists,
-        and at least one interior epoch checkpoint is stored.  Everything
-        else (cache hits, first-ever runs that still have to capture) stays
-        on the one-worker-per-organisation path.
-        """
-        if not (self.replay and self.resume) or self.max_workers == 1:
-            return False
-        store = runner_get_store(self.cache_dir)
-        if store is None:
-            return False
-        contexts = organisation_contexts()[organisation]
-        cached = 0
-        for context in contexts:
-            if memo_key(workload, context, size, seed, scale,
-                        warmup_fraction) in _CACHE:
-                cached += 1
-            elif store.contains("context", _result_params(
-                    workload, context, size, seed, scale, warmup_fraction)):
-                cached += 1
-        if cached == len(contexts):
-            return False
-        trace_store = get_trace_store(self.cache_dir)
-        ckpt_store = get_checkpoint_store(self.cache_dir)
-        if trace_store is None or ckpt_store is None:
-            return False
-        n_cpus = SYSTEMS.get(organisation).n_cpus
-        reader = trace_store.open(trace_params(workload, n_cpus, seed, size))
-        if reader is None:
-            return False
-        params = checkpoint_params(workload, n_cpus, seed, size, organisation,
-                                   scale, warmup_fraction,
-                                   epoch_size=reader.meta.epoch_size)
-        return any(0 < epoch < reader.n_epochs
-                   for epoch in ckpt_store.epochs(params))
-
-    def _run_sharded(self, workload: str, organisation: str, size: str,
-                     seed: int, scale: int, warmup_fraction: float
-                     ) -> Dict[str, ContextResult]:
-        """Simulate one cell epoch-sharded, then analyse and persist it.
-
-        The bundle written here is byte-for-byte what the serial
-        :func:`~repro.experiments.runner.run_context` path would produce:
-        :meth:`simulate_trace` is verified bit-identical to a serial
-        simulation, and the analysis is a pure function of the miss trace.
-        """
-        traces = self.simulate_trace(workload, organisation, size=size,
-                                     seed=seed, scale=scale,
-                                     warmup_fraction=warmup_fraction)
-        store = runner_get_store(self.cache_dir)
-        results: Dict[str, ContextResult] = {}
-        for context in organisation_contexts()[organisation]:
-            result = _analyze(workload, context, traces[context])
-            if store is not None:
-                store.save("context",
-                           _result_params(workload, context, size, seed,
-                                          scale, warmup_fraction), result)
-            results[context] = result
-        return results
-
     def run_suite(self, size: str = "small", seed: int = 42,
                   scale: int = DEFAULT_SCALE,
                   workloads: Tuple[str, ...] = WORKLOAD_NAMES,
@@ -291,13 +181,8 @@ class ParallelSuiteRunner:
                   ) -> Dict[str, Dict[str, ContextResult]]:
         """All ``workloads`` in all contexts; returns {workload: {context: result}}.
 
-        Cells whose captured trace already has boundary checkpoints (from
-        any earlier run of the same configuration) are simulated via
-        epoch-sharded :meth:`simulate_trace` — parallelism *below*
-        (workload, organisation) granularity — while the rest fan out one
-        organisation per pool worker; both paths produce bit-identical
-        bundles.  ``organisations`` restricts the sweep (default: every
-        registered organisation).
+        One pool task per (workload, organisation) cell; ``organisations``
+        restricts the sweep (default: every registered organisation).
         """
         warmup_fraction = clamp_warmup_fraction(warmup_fraction)
         known = organisation_contexts()
@@ -308,27 +193,19 @@ class ParallelSuiteRunner:
                 raise ValueError(f"unknown organisation {organisation!r}")
         jobs = self._jobs(workloads, size, seed, scale, warmup_fraction,
                           organisations)
-        sharded = [job for job in jobs if self._shardable(*job[:6])]
-        pooled = [job for job in jobs if job not in sharded]
         merged: Dict[str, Dict[str, ContextResult]] = {w: {} for w in workloads}
-        with self._pool(len(pooled)) as pool:
+        with self._pool(len(jobs)) as pool:
             futures = [pool.submit_call(_run_organisation, job)
-                       for job in pooled]
+                       for job in jobs]
             for future in as_completed(futures):
                 workload, results = future.result()
                 merged[workload].update(results)
-        # Sharded cells run in the parent: each call fans its epoch ranges
-        # out over its own pool, so running them one after another keeps the
-        # workers busy without nesting pools.
-        for job in sharded:
-            workload = job[0]
-            merged[workload].update(self._run_sharded(*job[:6]))
         # Warm the parent's memo so follow-up figure/table rendering in this
         # process reuses the returned bundles directly.
         for workload, results in merged.items():
             for context, result in results.items():
-                _CACHE[memo_key(workload, context, size, seed, scale,
-                                warmup_fraction)] = result
+                _CACHE[memo_key(self.cache_dir, workload, context, size, seed,
+                                scale, warmup_fraction)] = result
         return merged
 
     # ------------------------------------------------------------------ #
@@ -368,97 +245,3 @@ class ParallelSuiteRunner:
                        for job in jobs]
             pairs = [future.result() for future in as_completed(futures)]
         return merge_summaries(pairs)
-
-    # ------------------------------------------------------------------ #
-    def simulate_trace(self, workload: str, organisation: str,
-                       size: str = "small", seed: int = 42,
-                       scale: int = DEFAULT_SCALE,
-                       warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-                       shards: Optional[int] = None
-                       ) -> Dict[str, MissTrace]:
-        """Epoch-sharded *simulation* of one captured trace.
-
-        Splits the trace's epochs into up to ``shards`` contiguous ranges
-        whose boundaries land on stored checkpoints (a range starting at
-        epoch 0 needs none), simulates each range in its own worker — the
-        worker restores the boundary snapshot and replays only its epochs —
-        and concatenates the per-range miss records **in epoch order**.
-        Because each snapshot embeds the cumulative miss traces before its
-        boundary, the merged records carry globally correct sequence
-        numbers and the result is bit-identical to a serial simulation.
-
-        Checkpoints come from any earlier serial run of the same
-        configuration (``run``/``suite`` write them by default); with no
-        usable checkpoint the whole trace becomes a single shard, i.e. the
-        method degrades to the serial path rather than failing.
-
-        Returns ``{context: MissTrace}`` for the organisation's contexts.
-        """
-        if organisation not in organisation_contexts():
-            raise ValueError(f"unknown organisation {organisation!r}")
-        trace_store = get_trace_store(self.cache_dir)
-        if trace_store is None:
-            raise RuntimeError("epoch-sharded simulation needs the disk "
-                               "cache (REPRO_DISABLE_DISK_CACHE is set)")
-        system = _build_system(organisation, scale)
-        stream_key = trace_params(workload, system.config.n_cpus, seed, size)
-        reader = trace_store.open(stream_key)
-        if reader is None:
-            raise LookupError(
-                f"no captured trace for {stream_key}; run a simulation with "
-                f"replay enabled (or `trace capture`) first")
-        fraction = clamp_warmup_fraction(warmup_fraction)
-        ckpt_store = get_checkpoint_store(self.cache_dir)
-        ckpt_key = checkpoint_params(workload, system.config.n_cpus, seed,
-                                     size, organisation, scale, fraction,
-                                     epoch_size=reader.meta.epoch_size)
-        available = ([epoch for epoch in ckpt_store.epochs(ckpt_key)
-                      if 0 < epoch < reader.n_epochs]
-                     if ckpt_store is not None else [])
-        n_shards = shards or self.max_workers or os.cpu_count() or 1
-        starts = _shard_starts(reader.n_epochs, available, n_shards)
-        jobs = [(str(reader.path), organisation, scale, fraction, start,
-                 stop, self.cache_dir)
-                for start, stop in zip(starts, starts[1:] + [reader.n_epochs])]
-        try:
-            with self._pool(len(jobs)) as pool:
-                futures = [pool.submit_call(_simulate_shard_job, job)
-                           for job in jobs]
-                outcomes = [future.result()
-                            for future in as_completed(futures)]
-        except LookupError as exc:
-            # A boundary checkpoint vanished or failed to load between
-            # planning and execution; degrade to one serial shard.
-            warnings.warn(f"epoch-sharded simulation fell back to serial "
-                          f"({exc})", RuntimeWarning, stacklevel=2)
-            outcomes = [_simulate_shard_job(
-                (str(reader.path), organisation, scale, fraction, 0,
-                 reader.n_epochs, self.cache_dir))]
-        outcomes.sort(key=lambda outcome: outcome[0])
-        contexts = organisation_contexts()[organisation]
-        merged = {context: MissTrace(context) for context in contexts}
-        for _, deltas, instructions in outcomes:
-            for context in contexts:
-                merged[context].records.extend(deltas[context])
-                merged[context].instructions = instructions
-        return merged
-
-
-def _shard_starts(n_epochs: int, available: Sequence[int],
-                  n_shards: int) -> List[int]:
-    """Choose shard starting epochs: 0 plus checkpoints nearest to even cuts.
-
-    ``available`` holds the epochs with a stored checkpoint; the ideal cut
-    points divide the trace evenly, and each is snapped to the closest
-    available checkpoint (ties to the smaller epoch).  Duplicates collapse,
-    so with no checkpoints the result is a single serial shard ``[0]``.
-    """
-    starts = {0}
-    if available and n_shards > 1:
-        candidates = sorted(available)
-        for index in range(1, n_shards):
-            ideal = index * n_epochs / n_shards
-            nearest = min(candidates,
-                          key=lambda epoch: (abs(epoch - ideal), epoch))
-            starts.add(nearest)
-    return sorted(starts)

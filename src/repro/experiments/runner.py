@@ -65,9 +65,9 @@ def clamp_warmup_fraction(fraction: float) -> float:
     """The effective warm-up fraction for a requested one.
 
     Every site that turns a warm-up fraction into a warm-up access count —
-    or into a checkpoint-store key — must clamp identically, or the serial
-    pass, the shard workers, and the CLI would compute different keys for
-    the same run.
+    or into a checkpoint-store key — must clamp identically, or the
+    planner, the stage workers, and the CLI would compute different keys
+    for the same run.
     """
     return max(0.0, min(fraction, 0.9))
 
@@ -91,17 +91,24 @@ class ContextResult:
         return len(self.miss_trace)
 
 
-#: Memoised results keyed by (workload, context, size, seed, scale, warmup).
-_CACHE: Dict[Tuple[str, str, str, int, int, float], ContextResult] = {}
-#: Memoised (off-chip, intra-chip) miss traces keyed by the run parameters.
-_TRACE_CACHE: Dict[Tuple[str, str, str, int, int, float],
+#: Memoised results keyed by :func:`memo_key`.
+_CACHE: Dict[Tuple[str, str, str, str, int, int, float], ContextResult] = {}
+#: Memoised (off-chip, intra-chip) miss traces keyed by :func:`memo_key`.
+_TRACE_CACHE: Dict[Tuple[str, str, str, str, int, int, float],
                    Dict[str, MissTrace]] = {}
 
 
-def memo_key(workload: str, context: str, size: str, seed: int, scale: int,
-             warmup_fraction: float) -> Tuple[str, str, str, int, int, float]:
-    """In-process memo key; must cover every parameter that affects results."""
-    return (workload, context, size, seed, scale, warmup_fraction)
+def memo_key(cache_dir: Optional[str], workload: str, context: str,
+             size: str, seed: int, scale: int, warmup_fraction: float
+             ) -> Tuple[str, str, str, str, int, int, float]:
+    """In-process memo key; must cover every parameter that affects results.
+
+    The key leads with the resolved cache root of ``cache_dir`` (``None``:
+    the default root), so a session on another root fills that root's
+    stores instead of reusing this one's objects.
+    """
+    root = str(Session(cache_dir=cache_dir).cache_root)
+    return (root, workload, context, size, seed, scale, warmup_fraction)
 
 
 def get_store(cache_dir: Optional[str] = None) -> Optional[ResultStore]:
@@ -136,12 +143,14 @@ def _result_params(workload: str, context: str, size: str, seed: int,
 
 def bundle_status(workload: str, context: str, size: str, seed: int,
                   scale: int, warmup_fraction: float,
-                  store: Optional[ResultStore] = None) -> str:
-    """``"cached"`` when the bundle already exists (memo or disk), else
-    ``"ran"`` — the status a stage that builds it should report."""
-    if memo_key(workload, context, size, seed, scale,
+                  session: Session) -> str:
+    """``"cached"`` when the bundle already exists (memo or disk) under
+    ``session``'s root, else ``"ran"`` — the status a stage that builds it
+    should report."""
+    if memo_key(session.cache_dir, workload, context, size, seed, scale,
                 warmup_fraction) in _CACHE:
         return "cached"
+    store = session.result_store
     if store is not None and store.contains("context", _result_params(
             workload, context, size, seed, scale, warmup_fraction)):
         return "cached"
@@ -171,15 +180,19 @@ def _simulate(workload: str, organisation: str, size: str, seed: int,
     the stream as a side effect and the simulation pass replays it, so the
     generators run at most once per distinct stream.
 
-    Replayed simulations additionally write epoch-boundary checkpoints
-    (full system snapshots) and, with ``resume``, restore the latest one
-    and simulate only the remaining epochs — an interrupted run costs only
-    the epochs past its last checkpoint, bit-identically.  A trace whose
+    Replayed simulations are crash-resumable: with ``checkpoint`` they
+    snapshot an epoch boundary only after
+    :data:`~repro.checkpoint.replay.CHECKPOINT_INTERVAL_S` of simulate time,
+    and with ``resume`` they restore the latest snapshot (or a warm-start
+    prefix) and simulate only the remaining epochs, bit-identically.  Short
+    runs therefore write no snapshot at all, and no run snapshots its final
+    boundary: a finished cell lives in the result store.  A trace whose
     segments turn out corrupt mid-replay is dropped with a warning and the
     run falls back to re-generating the stream (one retry).
     """
     warmup_fraction = clamp_warmup_fraction(warmup_fraction)
-    key = memo_key(workload, organisation, size, seed, scale, warmup_fraction)
+    key = memo_key(cache_dir, workload, organisation, size, seed, scale,
+                   warmup_fraction)
     if key in _TRACE_CACHE:
         return _TRACE_CACHE[key]
     try:
@@ -218,7 +231,7 @@ def _simulate_once(workload: str, organisation: str, size: str, seed: int,
     system = _build_system(organisation, scale)
     config = system.config
     # The fraction was clamped by the caller (every key-building site goes
-    # through clamp_warmup_fraction so serial, shard, and CLI keys agree).
+    # through clamp_warmup_fraction so plan, stage, and CLI keys agree).
     fraction = warmup_fraction
 
     trace_store = get_trace_store(cache_dir) if replay else None
@@ -259,8 +272,9 @@ def _simulate_once(workload: str, organisation: str, size: str, seed: int,
             accesses = trace_store.capture(accesses, stream_key)
     warmup = int(n_accesses * fraction)
     if reader is not None:
-        # Checkpointed replay: snapshots at epoch boundaries, resume from
-        # the latest one when the same run left checkpoints behind.
+        # Checkpointed replay: resume from the latest snapshot an earlier,
+        # interrupted run left behind; snapshot only as often as
+        # CHECKPOINT_INTERVAL_S allows.
         ckpt_store = get_checkpoint_store(cache_dir) if checkpoint else None
         ckpt_key = checkpoint_params(workload, config.n_cpus, seed, size,
                                      organisation, scale, fraction,
@@ -336,8 +350,8 @@ def run_context(workload: str, context: str, *, size: str = "small",
         raise ValueError(f"unknown context {context!r}; available: "
                          f"{', '.join(known)}")
     warmup_fraction = clamp_warmup_fraction(warmup_fraction)
-    cache_key = memo_key(workload, context, size, seed, scale,
-                         warmup_fraction)
+    cache_key = memo_key(session.cache_dir, workload, context, size, seed,
+                         scale, warmup_fraction)
     if cache_key in _CACHE:
         return _CACHE[cache_key]
     store = session.result_store

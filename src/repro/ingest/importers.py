@@ -7,7 +7,7 @@ into the columnar :class:`~repro.trace.store.TraceStore` — one epoch of
 buffering, atomic commit, exactly like a live capture.  The committed trace
 sits under a synthetic ``(workload="import:<name>", n_cpus, seed, size)``
 key plus a :mod:`provenance <repro.ingest.provenance>` sidecar, so every
-downstream layer (replay, ``process_chunk``, checkpoints, epoch sharding,
+downstream layer (replay, ``process_chunk``, checkpoints, epoch summaries,
 specs, plans, all executors) treats it exactly like a captured synthetic
 stream.
 

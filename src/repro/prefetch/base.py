@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from ..mem.records import MissRecord
 from ..mem.trace import MissTrace
@@ -31,25 +31,6 @@ class Prefetcher:
     def observe(self, record: MissRecord) -> List[int]:
         """Consume one miss and return the block addresses to prefetch."""
         raise NotImplementedError
-
-    def snapshot(self) -> Dict[str, object]:
-        """Full predictor state as plain, deterministic structures.
-
-        Implementations must tag the state with their ``name`` so
-        :meth:`restore` can reject a snapshot from a different prefetcher
-        family; the checkpoint subsystem persists these dicts alongside the
-        system-model state.
-        """
-        raise NotImplementedError
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Replace the predictor state with a :meth:`snapshot` state dict."""
-        raise NotImplementedError
-
-    def _check_snapshot_name(self, state: Dict[str, object]) -> None:
-        if state.get("name") != self.name:
-            raise ValueError(f"snapshot is for prefetcher "
-                             f"{state.get('name')!r}, not {self.name!r}")
 
 
 @dataclass
@@ -77,82 +58,35 @@ class CoverageResult:
         return self.covered_misses / self.issued_prefetches
 
 
-#: Default number of coverage checkpoints per trace when a store is given.
-COVERAGE_CHECKPOINT_TARGET = 12
-
-
 def coverage_params(prefetcher: str, workload: str, context: str, size: str,
                     seed: int, scale: int, warmup: float,
                     buffer_capacity: int = 4096) -> Dict[str, object]:
-    """The checkpoint-store key of one coverage evaluation.
+    """The result-store key of one coverage evaluation (kind ``coverage``).
 
-    Every replay-relevant input is part of the key — a resumed evaluation
-    must only ever fold onto state produced by an identical one.  The
-    ``coverage`` marker keeps these chains from colliding with simulation
-    checkpoints over the same trace.
+    Every input the result depends on is part of the key: the prefetcher,
+    the cell whose miss trace it replays, and the prefetch buffer size.
     """
-    return {"coverage": True, "prefetcher": prefetcher, "workload": workload,
+    return {"prefetcher": prefetcher, "workload": workload,
             "context": context, "size": size, "seed": seed, "scale": scale,
             "warmup": warmup, "buffer_capacity": buffer_capacity}
 
 
 def evaluate_coverage(prefetcher: Prefetcher, trace: MissTrace,
-                      buffer_capacity: int = 4096, *,
-                      store=None, params: Optional[Dict[str, object]] = None,
-                      resume: bool = True,
-                      checkpoint_every: Optional[int] = None,
-                      stop_after: Optional[int] = None) -> CoverageResult:
+                      buffer_capacity: int = 4096) -> CoverageResult:
     """Replay ``trace`` against ``prefetcher`` and measure miss coverage.
 
     A miss is *covered* if its block address sits in the prefetch buffer when
     the miss occurs.  The buffer holds the most recent ``buffer_capacity``
     prefetched blocks (FIFO by issue order, refreshed on re-issue).
-
-    With a ``store`` and ``params`` key, evaluator state (predictor snapshot,
-    buffer order, counters) is checkpointed as a delta chain every
-    ``checkpoint_every`` records (default: the trace split into
-    ``COVERAGE_CHECKPOINT_TARGET`` strides), keyed by records consumed; an
-    interrupted evaluation resumes bit-identically from the furthest
-    checkpoint at or before ``stop_after``.  ``stop_after`` caps how many
-    records are consumed, returning the partial result.
     """
     buffer: "OrderedDict[int, bool]" = OrderedDict()
     covered = 0
     issued = 0
-    start = 0
-    n = len(trace)
-    stop = n if stop_after is None else min(n, stop_after)
-    writer = None
-    if store is not None and params is not None:
-        from ..checkpoint.delta import DeltaChainWriter
-        from ..checkpoint.store import STATS
-        if checkpoint_every is None:
-            checkpoint_every = max(1, n // COVERAGE_CHECKPOINT_TARGET)
-        writer = DeltaChainWriter(store, params)
-        if resume:
-            found = store.latest(params, max_epoch=stop)
-            if found is not None:
-                start, state = found
-                prefetcher.restore(state["prefetcher"])
-                buffer = OrderedDict(
-                    (block, True) for block in state["buffer"])
-                covered = state["covered"]
-                issued = state["issued"]
-                STATS.resumes += 1
-
-    def save(position: int) -> None:
-        writer.save(position, {
-            "name": prefetcher.name,
-            "prefetcher": prefetcher.snapshot(),
-            "buffer": list(buffer.keys()),
-            "covered": covered, "issued": issued, "position": position})
-
-    for offset, record in enumerate(trace.records[start:stop], start=start):
+    for record in trace.records:
         if record.block in buffer:
             covered += 1
             del buffer[record.block]
-        predictions = prefetcher.observe(record)
-        for block in predictions:
+        for block in prefetcher.observe(record):
             issued += 1
             if block in buffer:
                 buffer.move_to_end(block)
@@ -160,12 +94,6 @@ def evaluate_coverage(prefetcher: Prefetcher, trace: MissTrace,
             buffer[block] = True
             if len(buffer) > buffer_capacity:
                 buffer.popitem(last=False)
-        position = offset + 1
-        if (writer is not None and position < stop
-                and position % checkpoint_every == 0):
-            save(position)
-    if writer is not None and stop > start:
-        save(stop)
     return CoverageResult(prefetcher=prefetcher.name, context=trace.context,
-                          total_misses=stop, covered_misses=covered,
+                          total_misses=len(trace), covered_misses=covered,
                           issued_prefetches=issued)

@@ -58,23 +58,3 @@ class StridePrefetcher(Prefetcher):
             state.stride = stride
         state.last_addr = record.block
         return predictions
-
-    # ------------------------------------------------------------------ #
-    # Snapshot / restore
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[str, object]:
-        """The stride table as plain structures, sorted for determinism."""
-        return {
-            "name": self.name,
-            "table": sorted([cpu, fn, entry.last_addr, entry.stride,
-                             entry.confidence]
-                            for (cpu, fn), entry in self._table.items()),
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Replace the stride table with a :meth:`snapshot` state dict."""
-        self._check_snapshot_name(state)
-        self._table = {
-            (cpu, fn): _StrideState(last_addr=last_addr, stride=stride,
-                                    confidence=confidence)
-            for cpu, fn, last_addr, stride, confidence in state["table"]}

@@ -75,29 +75,3 @@ class TemporalPrefetcher(Prefetcher):
                                 for addr, pos in index.items()
                                 if pos >= cut}
         return predictions
-
-    # ------------------------------------------------------------------ #
-    # Snapshot / restore
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[str, object]:
-        """History buffers and index tables as plain, sorted structures.
-
-        History order *is* predictor state (successors are streamed from
-        it), so each buffer is stored verbatim; the index tables are sorted
-        by address purely for snapshot determinism.
-        """
-        return {
-            "name": self.name,
-            "history": [[key, list(history)] for key, history
-                        in sorted(self._history.items())],
-            "index": [[key, sorted([addr, pos] for addr, pos in idx.items())]
-                      for key, idx in sorted(self._index.items())],
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Replace the predictor state with a :meth:`snapshot` state dict."""
-        self._check_snapshot_name(state)
-        self._history = {key: list(history)
-                         for key, history in state["history"]}
-        self._index = {key: {addr: pos for addr, pos in entries}
-                       for key, entries in state["index"]}

@@ -82,6 +82,20 @@ class TestRun:
         results = Session().run_all("Apache", size="tiny")
         assert set(results) == set(ALL_CONTEXTS)
 
+    def test_memo_is_keyed_by_cache_root(self, private_cache):
+        # A fresh root must get its own simulation and its own stores, not
+        # the object the in-process memo holds for another root.
+        first = Session(cache_dir=str(private_cache / "a")).run(
+            "Apache", MULTI_CHIP, size="tiny")
+        other = private_cache / "b"
+        second = Session(cache_dir=str(other)).run("Apache", MULTI_CHIP,
+                                                   size="tiny")
+        assert second is not first
+        assert len(list(other.glob("v*/context/*.pkl"))) == 1
+        assert len(list(other.glob("traces/v*/*/meta.json"))) == 1
+        assert (second.miss_trace.state_dict()
+                == first.miss_trace.state_dict())
+
 
 class TestLegacyShims:
     def test_run_workload_context_warns_and_matches(self, private_cache):

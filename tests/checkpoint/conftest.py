@@ -62,3 +62,10 @@ def organisation(request):
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+@pytest.fixture
+def every_boundary(monkeypatch):
+    """Snapshot at every epoch boundary (a zero checkpoint interval)."""
+    from repro.checkpoint import replay
+    monkeypatch.setattr(replay, "CHECKPOINT_INTERVAL_S", 0.0)

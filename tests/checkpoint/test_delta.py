@@ -191,24 +191,12 @@ class TestChainRoundtrip:
         assert ckpts.load(CKPT_KEY, epoch) == states[epoch]
         assert STATS.loads == loads0 + 1
 
-    def test_legacy_full_and_chain_coexist(self, captured):
-        reader, ckpts = captured
-        states = boundary_states(reader)
-        epochs = sorted(states)
-        ckpts.save(CKPT_KEY, epochs[0], states[epochs[0]])  # legacy file
-        writer = DeltaChainWriter(ckpts, CKPT_KEY)
-        writer.save(epochs[1], states[epochs[1]])
-        assert ckpts.epochs(CKPT_KEY) == epochs[:2]
-        assert ckpts.entry_kind(CKPT_KEY, epochs[0]) == "full"
-        assert ckpts.load(CKPT_KEY, epochs[0]) == states[epochs[0]]
-        assert ckpts.load(CKPT_KEY, epochs[1]) == states[epochs[1]]
-
 
 # --------------------------------------------------------------------------- #
 # corruption: torn chunks fall back to an earlier boundary, bit-identically
 # --------------------------------------------------------------------------- #
 class TestCorruption:
-    def test_torn_chunk_warns_and_falls_back(self, captured):
+    def test_torn_chunk_warns_and_falls_back(self, captured, every_boundary):
         reader, ckpts = captured
         warmup = reader.n_accesses // 4
 
@@ -217,22 +205,22 @@ class TestCorruption:
 
         primer = make_system("multi-chip")
         simulate_replay(primer, reader, warmup=warmup, store=ckpts,
-                        params=CKPT_KEY, checkpoint_every=1)
+                        params=CKPT_KEY)
         epochs = ckpts.epochs(CKPT_KEY)
-        assert len(epochs) == reader.n_epochs
+        assert epochs == list(range(1, reader.n_epochs))
 
-        # Tear a chunk only the final boundary's manifest references: its
-        # append-tail chunks are unique to that boundary.
-        last = epochs[-1]
+        # Tear a chunk only the last delta boundary's manifest references:
+        # its append-tail chunks are unique to that boundary.
+        last = max(epoch for epoch in epochs
+                   if ckpts.entry_kind(CKPT_KEY, epoch) == "delta")
         manifest = ckpts.load_chain_manifest(CKPT_KEY, last)
-        assert manifest["kind"] == "delta"
         victim = next(spec["chunk"]
                       for spec in manifest["sections"].values()
                       if "append" in spec)
         ckpts.chunk_path(victim).write_bytes(b"torn mid-write")
 
         with pytest.warns(RuntimeWarning):
-            found = ckpts.latest(CKPT_KEY)
+            found = ckpts.latest(CKPT_KEY, max_epoch=last)
         assert found is not None
         epoch, state = found
         assert epoch < last  # fell back to an earlier loadable boundary

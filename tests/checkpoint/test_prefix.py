@@ -134,6 +134,29 @@ class TestWarmStartExecution:
         assert publish_prefix("Apache", "multi-chip", "tiny", 7, 64, 0.6,
                               cache_dir=cache) == "cached"
 
+    @pytest.mark.parametrize("dense", [False, True],
+                             ids=["default-interval", "every-boundary"])
+    def test_publish_prefix_writes_one_checkpoint(self, tmp_path,
+                                                  monkeypatch, dense):
+        from repro.checkpoint import get_checkpoint_store, replay
+        from repro.trace import get_trace_store, trace_params
+        if dense:
+            monkeypatch.setattr(replay, "CHECKPOINT_INTERVAL_S", 0.0)
+        cache = str(tmp_path / "one")
+        fresh_run(tmp_path, "one", warm_start=True)
+        reader = get_trace_store(cache).open(
+            trace_params("Apache", 16, 7, "tiny"))
+        key = prefix_params("Apache", 16, 7, "tiny", "multi-chip", 64,
+                            epoch_size=reader.meta.epoch_size)
+        stop = boundary_at_or_before(reader.meta.segments,
+                                     int(reader.n_accesses * 0.6))
+        store = get_checkpoint_store(cache)
+        assert store.epochs(key) == [stop]
+        if not dense:
+            # The member cells are short: they leave no checkpoint of
+            # their own, so the prefix is all the store holds.
+            assert store.runs() == [store.path_for(key)]
+
     def test_publish_prefix_without_trace_skips(self, tmp_path):
         assert publish_prefix("Apache", "multi-chip", "tiny", 99, 64, 0.6,
                               cache_dir=str(tmp_path / "empty")) == "skipped"

@@ -47,7 +47,8 @@ def captured(tmp_path):
 
 class TestSimulateReplay:
     def test_uninterrupted_run_equals_plain_replay(self, captured,
-                                                   organisation):
+                                                   organisation,
+                                                   every_boundary):
         reader, ckpts = captured
         warmup = reader.n_accesses // 4
 
@@ -57,15 +58,16 @@ class TestSimulateReplay:
         key = dict(CKPT_KEY, organisation=organisation)
         checkpointed = make_system(organisation)
         simulate_replay(checkpointed, reader, warmup=warmup, store=ckpts,
-                        params=key, checkpoint_every=1)
+                        params=key)
         assert checkpointed.snapshot() == plain.snapshot()
-        # Every epoch boundary left a checkpoint behind.
-        assert ckpts.epochs(key) == list(range(1, reader.n_epochs + 1))
+        # Every epoch boundary but the last left a checkpoint behind.
+        assert ckpts.epochs(key) == list(range(1, reader.n_epochs))
 
     @pytest.mark.parametrize("cut_fraction", [0.2, 0.5, 0.9])
     def test_interrupted_then_resumed_is_bit_identical(self, captured,
                                                        organisation,
-                                                       cut_fraction):
+                                                       cut_fraction,
+                                                       every_boundary):
         reader, ckpts = captured
         warmup = reader.n_accesses // 4
         key = dict(CKPT_KEY, organisation=organisation)
@@ -90,11 +92,13 @@ class TestSimulateReplay:
         for context, trace in resumed.miss_traces().items():
             assert_traces_equal(trace, reference.miss_traces()[context])
 
-    def test_resume_disabled_simulates_from_zero(self, captured):
+    def test_resume_disabled_simulates_from_zero(self, captured,
+                                                 every_boundary):
         reader, ckpts = captured
         key = dict(CKPT_KEY)
         primer = make_system("multi-chip")
         simulate_replay(primer, reader, store=ckpts, params=key)
+        assert ckpts.epochs(key)
 
         resumes_before = STATS.resumes
         fresh = make_system("multi-chip")
@@ -102,17 +106,42 @@ class TestSimulateReplay:
         assert STATS.resumes == resumes_before
         assert fresh.snapshot() == primer.snapshot()
 
-    def test_checkpoint_stride_still_saves_final_boundary(self, captured):
+    def test_final_boundary_is_never_saved(self, captured, every_boundary):
         reader, ckpts = captured
         key = dict(CKPT_KEY, warmup=0.0)
-        system = make_system("multi-chip")
-        simulate_replay(system, reader, store=ckpts, params=key,
-                        checkpoint_every=3)
-        epochs = ckpts.epochs(key)
-        assert reader.n_epochs in epochs  # completed prefix never lost
-        assert all(e % 3 == 0 or e == reader.n_epochs for e in epochs)
+        simulate_replay(make_system("multi-chip"), reader, store=ckpts,
+                        params=key)
+        assert reader.n_epochs not in ckpts.epochs(key)
+        assert ckpts.epochs(key)[-1] == reader.n_epochs - 1
 
-    def test_without_store_no_checkpoints_are_written(self, captured):
+    def test_default_interval_writes_nothing_for_a_short_run(self, captured):
+        reader, ckpts = captured
+        saves_before = STATS.saves
+        simulate_replay(make_system("multi-chip"), reader, store=ckpts,
+                        params=dict(CKPT_KEY))
+        assert STATS.saves == saves_before
+        assert ckpts.entries() == []
+
+    def test_snapshots_follow_the_interval(self, captured, monkeypatch):
+        # A clock that advances one second per reading (one reading per
+        # boundary, one more after each snapshot): three seconds pass by
+        # every third boundary.
+        from types import SimpleNamespace
+
+        from repro.checkpoint import replay
+        ticks = iter(range(10_000))
+        monkeypatch.setattr(replay, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        monkeypatch.setattr(replay, "CHECKPOINT_INTERVAL_S", 3.0)
+        reader, ckpts = captured
+        key = dict(CKPT_KEY)
+        simulate_replay(make_system("multi-chip"), reader, store=ckpts,
+                        params=key)
+        expected = list(range(3, reader.n_epochs, 3))
+        assert expected and ckpts.epochs(key) == expected
+
+    def test_without_store_no_checkpoints_are_written(self, captured,
+                                                      every_boundary):
         reader, ckpts = captured
         system = make_system("multi-chip")
         simulate_replay(system, reader)  # no store/params
@@ -127,7 +156,7 @@ class TestRunnerResume:
         if store is not None:
             store.clear()
 
-    def test_rerun_resumes_from_final_checkpoint(self):
+    def test_rerun_resumes_from_latest_checkpoint(self, every_boundary):
         from repro.checkpoint import get_checkpoint_store
         from repro.experiments import runner
         self._fresh_caches()
@@ -136,7 +165,8 @@ class TestRunnerResume:
         assert ckpts is not None and len(ckpts.entries()) >= 1
 
         # Drop the analysis bundles (memo + disk) but keep trace+checkpoints:
-        # the rerun must restore the final checkpoint, not resimulate.
+        # the rerun must restore the latest checkpoint and simulate only the
+        # epochs after it.
         self._fresh_caches()
         resumes_before = STATS.resumes
         second = runner.run_workload_context("Apache", MULTI_CHIP,
@@ -146,7 +176,7 @@ class TestRunnerResume:
         assert_traces_equal(second.miss_trace, first.miss_trace)
         self._fresh_caches()
 
-    def test_no_checkpoint_flag_writes_none(self):
+    def test_no_checkpoint_flag_writes_none(self, every_boundary):
         from repro.checkpoint import get_checkpoint_store
         from repro.experiments import runner
         self._fresh_caches()

@@ -15,7 +15,6 @@ from repro.mem.classify import BlockHistory
 from repro.mem.config import CacheConfig
 from repro.mem.records import FunctionRef
 from repro.mem.trace import INTRA_CHIP, MULTI_CHIP
-from repro.prefetch import StridePrefetcher, TemporalPrefetcher
 
 from .conftest import FNS, make_system, random_accesses
 
@@ -185,37 +184,3 @@ class TestSystemRoundTrip:
         with pytest.raises(ValueError):
             other.restore(donor.snapshot())
 
-
-class TestPrefetcherRoundTrip:
-    def _drive(self, prefetcher, rng, n=300):
-        for i in range(n):
-            record = MissRecord(seq=i, cpu=rng.randrange(4),
-                                block=rng.randrange(64) * 64,
-                                miss_class=3, fn=rng.choice(FNS))
-            prefetcher.observe(record)
-
-    @pytest.mark.parametrize("factory", [
-        lambda: StridePrefetcher(degree=2),
-        lambda: TemporalPrefetcher(depth=4, history_capacity=64),
-        lambda: TemporalPrefetcher(depth=4, per_cpu=True),
-    ])
-    def test_roundtrip_and_equivalent_predictions(self, factory):
-        rng = random.Random(99)
-        original = factory()
-        self._drive(original, rng)
-
-        restored = factory()
-        restored.restore(original.snapshot())
-        assert restored.snapshot() == original.snapshot()
-
-        follow = random.Random(100)
-        future = [MissRecord(seq=i, cpu=follow.randrange(4),
-                             block=follow.randrange(64) * 64,
-                             miss_class=3, fn=FNS[0]) for i in range(100)]
-        for record in future:
-            assert (restored.observe(record) == original.observe(record))
-
-    def test_wrong_family_rejected(self):
-        stride, temporal = StridePrefetcher(), TemporalPrefetcher()
-        with pytest.raises(ValueError):
-            temporal.restore(stride.snapshot())

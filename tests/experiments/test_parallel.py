@@ -27,6 +27,13 @@ def test_rejects_bad_worker_count():
         ParallelSuiteRunner(max_workers=0)
 
 
+def test_suite_rejects_unknown_organisation():
+    with pytest.raises(ValueError, match="mega-chip"):
+        ParallelSuiteRunner(max_workers=1).run_suite(
+            size="tiny", workloads=("Apache",),
+            organisations=("mega-chip",))
+
+
 def test_inline_suite_matches_serial_runner(tmp_path, monkeypatch):
     workloads = ("Apache", "Qry1")
     parallel = ParallelSuiteRunner(max_workers=1).run_suite(

@@ -139,7 +139,11 @@ class TestRunnerDiskCache:
                                              size="tiny")
         assert first is second
 
-    def test_clear_cache_disk_flag(self):
+    def test_clear_cache_disk_flag(self, monkeypatch):
+        # A zero checkpoint interval makes this short run snapshot every
+        # boundary but the last, as a long run would at its interval.
+        from repro.checkpoint import replay
+        monkeypatch.setattr(replay, "CHECKPOINT_INTERVAL_S", 0.0)
         runner.run_workload_context("Apache", "multi-chip", size="tiny")
         # One analysis bundle, the captured access trace, and the run's
         # epoch-boundary checkpoints.

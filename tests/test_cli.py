@@ -16,13 +16,21 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = str(REPO_ROOT / "src")
 
 
-def run_cli(args, cache_dir, check=True):
+#: ``python -m repro`` with a zero checkpoint interval: the run snapshots
+#: every epoch boundary but the last, as a long run would at its interval.
+EVERY_BOUNDARY = ("import sys; from repro.checkpoint import replay; "
+                  "replay.CHECKPOINT_INTERVAL_S = 0.0; "
+                  "from repro.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def run_cli(args, cache_dir, check=True, every_boundary=False):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_CACHE_DIR"] = str(cache_dir)
-    proc = subprocess.run([sys.executable, "-m", "repro", *args],
-                         capture_output=True, text=True, env=env,
-                         cwd=REPO_ROOT, timeout=600)
+    entry = ["-c", EVERY_BOUNDARY] if every_boundary else ["-m", "repro"]
+    proc = subprocess.run([sys.executable, *entry, *args],
+                          capture_output=True, text=True, env=env,
+                          cwd=REPO_ROOT, timeout=600)
     if check and proc.returncode != 0:
         raise AssertionError(
             f"CLI failed ({proc.returncode}):\n{proc.stdout}\n{proc.stderr}")
@@ -85,7 +93,8 @@ def test_report_figure_uses_cache(tmp_path):
 
 
 def test_clear_cache_removes_entries(tmp_path):
-    run_cli(["run", "Zeus", "multi-chip", "--size", "tiny"], tmp_path)
+    run_cli(["run", "Zeus", "multi-chip", "--size", "tiny"], tmp_path,
+            every_boundary=True)
     assert list(Path(tmp_path).glob("v*/context/*.pkl"))
     assert list(Path(tmp_path).glob("traces/v*/*/meta.json"))
     assert list(Path(tmp_path).glob("checkpoints/v*/*/epoch-*.chain.json"))
@@ -174,7 +183,8 @@ def test_no_disk_cache_flag(tmp_path):
 
 
 def test_run_writes_checkpoints_and_checkpoint_list_info(tmp_path):
-    run_cli(["run", "Apache", "multi-chip", "--size", "tiny"], tmp_path)
+    run_cli(["run", "Apache", "multi-chip", "--size", "tiny"], tmp_path,
+            every_boundary=True)
     files = list(Path(tmp_path).glob("checkpoints/v*/*/epoch-*.chain.json"))
     assert files  # epoch-boundary snapshots written during the run
 
@@ -191,7 +201,7 @@ def test_run_writes_checkpoints_and_checkpoint_list_info(tmp_path):
 
 def test_run_no_checkpoint_flag(tmp_path):
     run_cli(["run", "Apache", "multi-chip", "--size", "tiny",
-             "--no-checkpoint"], tmp_path)
+             "--no-checkpoint"], tmp_path, every_boundary=True)
     assert not list(Path(tmp_path).glob("checkpoints/v*/*/epoch-*.chain.json"))
 
 
@@ -200,13 +210,18 @@ def test_checkpoint_info_missing_run_fails(tmp_path):
                    tmp_path, check=False)
     assert proc.returncode == 1
     assert "no checkpoints" in proc.stderr
+    assert "only an interrupted long run" in proc.stderr
 
 
 def test_run_resume_is_bit_identical(tmp_path):
-    base = ["run", "Qry1", "multi-chip", "--size", "tiny"]
-    first = run_cli(base, tmp_path)
+    # Zeus, not a one-epoch DSS query: a tiny trace needs an interior
+    # boundary to checkpoint, since the final one is never saved.
+    base = ["run", "Zeus", "multi-chip", "--size", "tiny"]
+    first = run_cli(base, tmp_path, every_boundary=True)
+    assert list(Path(tmp_path).glob("checkpoints/v*/*/epoch-*.chain.json"))
     # Drop the result bundles but keep the trace and its checkpoints: the
-    # rerun restores the final checkpoint instead of resimulating.
+    # rerun restores the latest checkpoint and simulates only the epochs
+    # after it.
     for entry in Path(tmp_path).glob("v*/context/*.pkl"):
         entry.unlink()
     resumed = run_cli(base, tmp_path)

@@ -2,7 +2,8 @@
 
 These run the full pipeline (workload model -> system model -> stream
 analysis) at small scale and assert the *directional* findings of the paper,
-not absolute numbers (see EXPERIMENTS.md for the full comparison).
+not absolute numbers (ROADMAP.md's Baseline section gives measured values
+and how they move with trace length).
 """
 
 import pytest
