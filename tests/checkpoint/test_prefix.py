@@ -1,13 +1,20 @@
 """Shared-prefix warm starts: grouping, planning, and cold/warm equality."""
 
+import random
+
 import pytest
 
 from repro.api.plan import STAGE_KINDS, build_plan
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
-from repro.checkpoint import (STATS, prefix_params, publish_prefix,
+from repro.checkpoint import (CheckpointStore, DeltaChainWriter, STATS,
+                              checkpoint_params, get_checkpoint_store,
+                              prefix_params, publish_prefix, restore_latest,
                               shared_prefix_groups)
+from repro.trace import TraceStore, trace_params
 from repro.trace.epoch import boundary_at_or_before
+
+from .conftest import random_accesses
 
 SPEC = ExperimentSpec(name="prefix-grid", workloads=("Apache",),
                       organisations=("multi-chip",), scales=(64,),
@@ -69,6 +76,73 @@ class TestPrefixMath:
     def test_shared_prefix_groups_empty(self):
         assert shared_prefix_groups([]) == []
         assert shared_prefix_groups([("A", "multi-chip", 64, 0.25)]) == []
+
+
+# --------------------------------------------------------------------------- #
+# restore_latest: the furthest of a cell's own and the shared-prefix checkpoint
+# --------------------------------------------------------------------------- #
+class RecordingSystem:
+    """Stands in for a system model: keeps the state restored into it."""
+
+    state = None
+
+    def restore(self, state):
+        self.state = state
+
+
+class TestRestoreLatest:
+    CELL = checkpoint_params("Apache", 16, 7, "tiny", "multi-chip", 64, 0.6)
+    PREFIX = prefix_params("Apache", 16, 7, "tiny", "multi-chip", 64)
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        return CheckpointStore(tmp_path)
+
+    @staticmethod
+    def save(store, params, epoch):
+        owner = "prefix" if params.get("prefix") else "cell"
+        DeltaChainWriter(store, params).save(epoch, {"owner": owner,
+                                                     "epoch": epoch})
+
+    def restore(self, store, stop=10, prefix_limit=5):
+        system = RecordingSystem()
+        start = restore_latest(system, store, self.CELL, stop,
+                               prefix_params=self.PREFIX,
+                               prefix_limit=prefix_limit)
+        return start, system.state
+
+    def test_nothing_stored_restores_nothing(self, store):
+        resumes, warm = STATS.resumes, STATS.warm_starts
+        assert self.restore(store) == (0, None)
+        assert (STATS.resumes, STATS.warm_starts) == (resumes, warm)
+
+    def test_own_checkpoint_beats_a_shorter_prefix(self, store):
+        self.save(store, self.PREFIX, 2)
+        self.save(store, self.CELL, 4)
+        resumes, warm = STATS.resumes, STATS.warm_starts
+        assert self.restore(store) == (4, {"owner": "cell", "epoch": 4})
+        assert (STATS.resumes, STATS.warm_starts) == (resumes + 1, warm)
+
+    def test_prefix_beats_a_shorter_own_checkpoint(self, store):
+        self.save(store, self.CELL, 1)
+        self.save(store, self.PREFIX, 3)
+        resumes, warm = STATS.resumes, STATS.warm_starts
+        assert self.restore(store) == (3, {"owner": "prefix", "epoch": 3})
+        assert (STATS.resumes, STATS.warm_starts) == (resumes + 1, warm + 1)
+
+    def test_prefix_past_the_cells_warmup_is_not_used(self, store):
+        # A prefix is simulated with recording off throughout, so a boundary
+        # past this cell's warm-up lacks misses the cell must record.
+        self.save(store, self.PREFIX, 6)
+        assert self.restore(store, prefix_limit=5) == (0, None)
+        assert self.restore(store, prefix_limit=6) == (6, {"owner": "prefix",
+                                                           "epoch": 6})
+
+    def test_own_checkpoint_past_stop_is_not_used(self, store):
+        self.save(store, self.CELL, 3)
+        self.save(store, self.CELL, 8)
+        assert self.restore(store, stop=5) == (3, {"owner": "cell",
+                                                   "epoch": 3})
 
 
 # --------------------------------------------------------------------------- #
@@ -156,6 +230,48 @@ class TestWarmStartExecution:
             # The member cells are short: they leave no checkpoint of
             # their own, so the prefix is all the store holds.
             assert store.runs() == [store.path_for(key)]
+
+    def test_publish_prefix_inside_the_first_epoch_skips(self, tmp_path):
+        # Apache's `tiny` trace has two epochs: a 30% warm-up ends inside
+        # the first, so no warm-up-independent boundary exists to publish.
+        cache = str(tmp_path / "first")
+        fresh_run(tmp_path, "first", warm_start=False)
+        assert publish_prefix("Apache", "multi-chip", "tiny", 7, 64, 0.3,
+                              cache_dir=cache) == "skipped"
+        assert get_checkpoint_store(cache).entries() == []
+
+    def test_publish_prefix_extends_a_shorter_prefix(self, tmp_path):
+        # A random trace of many small epochs stands in for a long one.
+        key = prefix_params("Rnd", 16, 7, "tiny", "multi-chip", 512,
+                            epoch_size=128)
+        stream = random_accesses(random.Random(3), n=1500)
+        roots = [str(tmp_path / name) for name in ("warm", "cold")]
+        for root in roots:
+            traces = TraceStore(root)
+            for _ in traces.capture(iter(stream),
+                                    trace_params("Rnd", 16, 7, "tiny"),
+                                    epoch_size=128):
+                pass
+        reader = TraceStore(roots[0]).open(trace_params("Rnd", 16, 7,
+                                                        "tiny"))
+        short, long = (boundary_at_or_before(reader.meta.segments,
+                                             int(reader.n_accesses * f))
+                       for f in (0.3, 0.6))
+        assert 1 <= short < long
+
+        def publish(root, warmup):
+            return publish_prefix("Rnd", "multi-chip", "tiny", 7, 512,
+                                  warmup, cache_dir=root)
+
+        warm, cold = (CheckpointStore(root) for root in roots)
+        assert publish(roots[0], 0.3) == "ran"
+        resumes_before = STATS.resumes
+        assert publish(roots[0], 0.6) == "ran"
+        assert STATS.resumes == resumes_before + 1
+        assert warm.epochs(key) == [short, long]
+        assert publish(roots[1], 0.6) == "ran"
+        assert STATS.resumes == resumes_before + 1
+        assert warm.load(key, long) == cold.load(key, long)
 
     def test_publish_prefix_without_trace_skips(self, tmp_path):
         assert publish_prefix("Apache", "multi-chip", "tiny", 99, 64, 0.6,

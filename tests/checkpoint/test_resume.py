@@ -140,6 +140,29 @@ class TestSimulateReplay:
         expected = list(range(3, reader.n_epochs, 3))
         assert expected and ckpts.epochs(key) == expected
 
+    def test_resumed_run_counts_the_interval_from_its_restore(
+            self, captured, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.checkpoint import replay
+        reader, ckpts = captured
+        key = dict(CKPT_KEY)
+        monkeypatch.setattr(replay, "CHECKPOINT_INTERVAL_S", 0.0)
+        simulate_replay(make_system("multi-chip"), reader, store=ckpts,
+                        params=key, stop_epoch=2)
+        assert ckpts.epochs(key) == [1, 2]
+
+        # Same one-second-per-reading clock as above: the resumed run's
+        # first snapshot falls three boundaries after the restored one.
+        ticks = iter(range(10_000))
+        monkeypatch.setattr(replay, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        monkeypatch.setattr(replay, "CHECKPOINT_INTERVAL_S", 3.0)
+        simulate_replay(make_system("multi-chip"), reader, store=ckpts,
+                        params=key)
+        assert ckpts.epochs(key) == [1, 2] + list(range(5, reader.n_epochs,
+                                                        3))
+
     def test_without_store_no_checkpoints_are_written(self, captured,
                                                       every_boundary):
         reader, ckpts = captured

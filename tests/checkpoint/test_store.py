@@ -1,5 +1,8 @@
 """CheckpointStore: keying, save/load/latest, corruption policy, clearing."""
 
+import gzip
+import pickle
+
 import pytest
 
 from repro.checkpoint import (CheckpointCorruptError, CheckpointStore,
@@ -131,6 +134,21 @@ class TestStore:
         save(store, PARAMS, 2, STATE)
         assert store.drop_run(PARAMS) == 2
         assert store.epochs(PARAMS) == []
+
+    def test_whole_file_checkpoint_is_ignored_beside_chain(self, tmp_path):
+        # Older releases could leave whole-file ``.ckpt.gz`` checkpoints in
+        # a run directory; only chain manifests are read now.
+        store = CheckpointStore(tmp_path)
+        save(store, PARAMS, 2, dict(STATE, epoch=2))
+        legacy = store.path_for(PARAMS) / "epoch-000005.ckpt.gz"
+        legacy.write_bytes(gzip.compress(pickle.dumps(
+            {"format_version": 2, "params": PARAMS, "epoch": 5,
+             "state": dict(STATE, epoch=5)})))
+        assert store.epochs(PARAMS) == [2]
+        assert store.latest(PARAMS) == (2, dict(STATE, epoch=2))
+        assert store.entries() == [store.chain_file_for(PARAMS, 2)]
+        assert store.drop_run(PARAMS) == 1
+        assert not legacy.exists()
 
     def test_save_counts(self, tmp_path):
         saves_before = STATS.saves

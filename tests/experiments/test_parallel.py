@@ -47,6 +47,91 @@ def test_inline_suite_matches_serial_runner(tmp_path, monkeypatch):
                     == serial[workload][context].n_misses)
 
 
+def _serial_bundles(workloads):
+    """Serial bundles (also leaves traces and result entries on disk)."""
+    return {workload: {context: runner.run_context(workload, context,
+                                                   size="tiny")
+                       for context in ALL_CONTEXTS}
+            for workload in workloads}
+
+
+def _delete_result_bundles(cache_dir):
+    paths = list(cache_dir.glob("v*/context/*.pkl"))
+    for path in paths:
+        path.unlink()
+    return len(paths)
+
+
+def _assert_bundles_equal(got, want):
+    assert got.miss_trace.state_dict() == want.miss_trace.state_dict()
+    assert (got.stream_analysis.fraction_in_streams
+            == want.stream_analysis.fraction_in_streams)
+
+
+@pytest.mark.parametrize("organisation", sorted(ORGANISATION_CONTEXTS))
+def test_organisation_subset_matches_serial(tmp_path, monkeypatch,
+                                            organisation):
+    results = ParallelSuiteRunner(max_workers=1).run_suite(
+        size="tiny", workloads=("Apache",), organisations=(organisation,))
+    contexts = ORGANISATION_CONTEXTS[organisation]
+    assert set(results["Apache"]) == set(contexts)
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "serial"))
+    runner.clear_cache()
+    for context in contexts:
+        _assert_bundles_equal(results["Apache"][context],
+                              runner.run_context("Apache", context,
+                                                 size="tiny"))
+
+
+def test_suite_resimulates_lost_bundles_bit_identically(tmp_path):
+    reference = _serial_bundles(("Apache",))
+    assert _delete_result_bundles(tmp_path) == len(ALL_CONTEXTS)
+    runner.clear_cache()
+    results = ParallelSuiteRunner(max_workers=2).run_suite(
+        size="tiny", workloads=("Apache",))
+    for context in ALL_CONTEXTS:
+        _assert_bundles_equal(results["Apache"][context],
+                              reference["Apache"][context])
+
+
+def test_suite_resumes_lost_bundles_from_checkpoints(tmp_path, monkeypatch):
+    # An inline suite shares this process, so a zero checkpoint interval
+    # applies to it too: the serial run leaves interior boundaries, and the
+    # suite restores the latest one once per organisation.
+    from repro.checkpoint import STATS, get_checkpoint_store, replay
+    monkeypatch.setattr(replay, "CHECKPOINT_INTERVAL_S", 0.0)
+    reference = _serial_bundles(("Apache",))
+    assert len(get_checkpoint_store().runs()) == len(ORGANISATION_CONTEXTS)
+    _delete_result_bundles(tmp_path)
+    runner.clear_cache()
+    resumes_before = STATS.resumes
+    results = ParallelSuiteRunner(max_workers=1).run_suite(
+        size="tiny", workloads=("Apache",))
+    assert STATS.resumes == resumes_before + len(ORGANISATION_CONTEXTS)
+    for context in ALL_CONTEXTS:
+        _assert_bundles_equal(results["Apache"][context],
+                              reference["Apache"][context])
+
+
+def test_suite_repersists_bundles(tmp_path, monkeypatch):
+    _serial_bundles(("OLTP",))
+    _delete_result_bundles(tmp_path)
+    runner.clear_cache()
+    ParallelSuiteRunner(max_workers=2).run_suite(size="tiny",
+                                                 workloads=("OLTP",))
+    # The pool workers wrote the bundles back under the runner's own keys.
+    assert len(list(tmp_path.glob("v*/context/*.pkl"))) == len(ALL_CONTEXTS)
+    runner.clear_cache()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("re-simulated despite repersisted bundles")
+
+    monkeypatch.setattr(runner, "_simulate", boom)
+    rerun = ParallelSuiteRunner(max_workers=1).run_suite(size="tiny",
+                                                         workloads=("OLTP",))
+    assert rerun["OLTP"]["multi-chip"].n_misses > 0
+
+
 def test_process_pool_small_sweep_and_cached_rerun(monkeypatch):
     """Acceptance: small-size sweep over the pool; re-run served from disk."""
     workloads = ("Apache", "OLTP", "Qry1")
