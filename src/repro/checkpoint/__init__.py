@@ -11,10 +11,10 @@ later run reads them:
 
 * **crash-resume** — a simulation snapshots an epoch boundary only after
   :data:`~repro.checkpoint.replay.CHECKPOINT_INTERVAL_S` of simulate time,
-  so an interrupted long run resumes from its latest boundary instead of
-  re-simulating from access zero, bit-identically.  Short runs write no
-  snapshot, and no run snapshots its final boundary: a finished cell lives
-  in the result store;
+  so a run interrupted after that resumes from its latest boundary instead
+  of re-simulating from access zero, bit-identically.  Shorter runs (every
+  cell of the shipped presets) write no snapshot, and no run snapshots its
+  final boundary: a finished cell lives in the result store;
 * **shared-prefix warm starts** — one checkpoint per (trace, organisation,
   scale) group of cells that differ only in warm-up, published once at the
   group's last warmup-independent boundary and restored by every member.

@@ -1185,7 +1185,8 @@ def _cmd_checkpoint_info(args: argparse.Namespace) -> int:
               f"snapshots an epoch boundary only after "
               f"{CHECKPOINT_INTERVAL_S:g} s of simulation and never its "
               f"last one (a finished cell lives in the result store), so "
-              f"only an interrupted long run of this configuration leaves "
+              f"only a run of this configuration interrupted after more "
+              f"than {CHECKPOINT_INTERVAL_S:g} s of simulation leaves "
               f"checkpoints behind", file=sys.stderr)
         return 1
     run_dir = store.path_for(params)

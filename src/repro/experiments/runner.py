@@ -32,6 +32,7 @@ columnar chunks, enabling the vectorised block-address fast path in
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple, Union
@@ -103,11 +104,12 @@ def memo_key(cache_dir: Optional[str], workload: str, context: str,
              ) -> Tuple[str, str, str, str, int, int, float]:
     """In-process memo key; must cover every parameter that affects results.
 
-    The key leads with the resolved cache root of ``cache_dir`` (``None``:
-    the default root), so a session on another root fills that root's
-    stores instead of reusing this one's objects.
+    The key leads with the absolute cache root of ``cache_dir`` (``None``:
+    the default root), so a session on another root, or on the same
+    relative root from another working directory, fills that root's stores
+    instead of reusing this one's objects.
     """
-    root = str(Session(cache_dir=cache_dir).cache_root)
+    root = os.path.abspath(Session(cache_dir=cache_dir).cache_root)
     return (root, workload, context, size, seed, scale, warmup_fraction)
 
 

@@ -96,6 +96,26 @@ class TestRun:
         assert (second.miss_trace.state_dict()
                 == first.miss_trace.state_dict())
 
+    def test_memo_is_keyed_by_absolute_root(self, private_cache,
+                                            monkeypatch):
+        # One relative root names a different directory from each working
+        # directory; two spellings of one directory share a key.
+        for name in ("a", "b"):
+            (private_cache / name).mkdir()
+        monkeypatch.chdir(private_cache / "a")
+        assert (runner.memo_key("cache", "Apache", MULTI_CHIP, "tiny", 42,
+                                64, 0.25)
+                == runner.memo_key("./cache", "Apache", MULTI_CHIP, "tiny",
+                                   42, 64, 0.25))
+        first = Session(cache_dir="cache").run("Apache", MULTI_CHIP,
+                                               size="tiny")
+        monkeypatch.chdir(private_cache / "b")
+        second = Session(cache_dir="cache").run("Apache", MULTI_CHIP,
+                                                size="tiny")
+        assert second is not first
+        assert len(list((private_cache / "b" / "cache").glob(
+            "v*/context/*.pkl"))) == 1
+
 
 class TestLegacyShims:
     def test_run_workload_context_warns_and_matches(self, private_cache):

@@ -210,7 +210,7 @@ def test_checkpoint_info_missing_run_fails(tmp_path):
                    tmp_path, check=False)
     assert proc.returncode == 1
     assert "no checkpoints" in proc.stderr
-    assert "only an interrupted long run" in proc.stderr
+    assert "interrupted after more than 30 s of simulation" in proc.stderr
 
 
 def test_run_resume_is_bit_identical(tmp_path):
