@@ -9,9 +9,8 @@ end-to-end wall-clock plus the per-stage status mix.
 
 The script **asserts** that the ``process`` backend beats ``serial`` on the
 multi-combo grid (by at least ``--min-speedup``, default 1.05x) and exits
-non-zero otherwise; ``thread`` and ``dispatch`` are reported but not
-asserted (the thread backend is GIL-bound on this pure-Python simulator,
-and dispatch pays a JSON/receipt round trip per stage by design).  On a
+non-zero otherwise; ``dispatch`` is reported but not asserted (it pays a
+JSON/receipt round trip per stage by design).  On a
 machine without real parallel capacity (fewer than two cores, or
 ``--jobs 1``) the assertion is skipped and recorded as such — overlap
 cannot beat serial without a second core.  Results land in

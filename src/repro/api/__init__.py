@@ -13,13 +13,15 @@ This package is the composition layer over the rest of the library:
   workload x organisation x scale x warmup grid plus requested prefetchers
   and analyses, loadable from TOML or a dict.
 * :mod:`~repro.api.plan` — :func:`build_plan` resolving a spec into an
-  explicit capture -> summarize -> simulate -> analyze -> render DAG, and
+  explicit capture -> simulate -> analyze -> render DAG, and
   :func:`execute_plan`, the event-driven scheduler submitting each stage to
   an execution backend the moment its dependencies land (with replay and
-  checkpoint resume per cell).
-* :mod:`~repro.api.executor` — the :class:`Executor` protocol plus the four
-  built-in backends (``serial``/``thread``/``process``/``dispatch``); new
-  backends plug in via :func:`register_executor`.
+  checkpoint resume per cell).  It is the one multi-cell orchestration
+  path: :meth:`Session.execute` and :meth:`Session.suite` both run through
+  it.
+* :mod:`~repro.api.executor` — the :class:`Executor` protocol plus the three
+  built-in backends (``serial``/``process``/``dispatch``); new backends
+  plug in via :func:`register_executor`.
 * :mod:`~repro.api.queue` / :mod:`~repro.api.worker` /
   :mod:`~repro.api.serve` — the dispatch work-queue service:
   :class:`WorkQueue` (atomic claim/lease/receipt files under
@@ -40,7 +42,7 @@ Quick start::
 
 from .executor import (DispatchExecutor, EXECUTOR_NAMES, Executor,
                        ExecutorSetupError, ProcessExecutor, SerialExecutor,
-                       ThreadExecutor, WorkItemCorruptError, WorkItemFailed,
+                       WorkItemCorruptError, WorkItemFailed,
                        execute_work_item, resolve_executor)
 from .plan import (EventLog, Plan, PlanEvents, PlanExecutionError, PlanResult,
                    Stage, build_plan, execute_plan)
@@ -52,7 +54,7 @@ from .registry import (ANALYSES, EXECUTORS, PREFETCHERS, Registry, SYSTEMS,
                        register_prefetcher, register_system,
                        register_workload)
 from .session import Session, get_default_session, set_default_session
-from .spec import Cell, ExperimentSpec, SIZE_NAMES, SpecError
+from .spec import Cell, ExperimentSpec, SIZE_NAMES, SpecError, spec_contexts
 
 __all__ = [
     "ANALYSES", "Cell", "DispatchExecutor", "EXECUTOR_NAMES", "EXECUTORS",
@@ -60,12 +62,12 @@ __all__ = [
     "Lease", "PREFETCHERS", "Plan",
     "PlanEvents", "PlanExecutionError", "PlanResult", "ProcessExecutor",
     "Registry", "ReproServer", "SIZE_NAMES", "SYSTEMS", "SerialExecutor",
-    "Session", "SpecError", "Stage", "ThreadExecutor", "WORKLOADS",
+    "Session", "SpecError", "Stage", "WORKLOADS",
     "WorkItemCorruptError", "WorkItemFailed", "WorkQueue", "Worker",
     "WorkerStats", "build_plan", "create_server",
     "execute_plan", "execute_work_item", "get_default_session",
     "register_analysis",
     "register_executor", "register_prefetcher", "register_system",
     "register_workload", "resolve_executor", "set_default_session",
-    "submit_spec",
+    "spec_contexts", "submit_spec",
 ]

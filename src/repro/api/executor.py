@@ -7,24 +7,17 @@ dependencies landed) to the backend and gets a
 :class:`concurrent.futures.Future` back; everything about pools, processes,
 and work-item serialisation lives behind that boundary.
 
-Four backends ship, all registered in :data:`repro.api.registry.EXECUTORS`
+Three backends ship, all registered in :data:`repro.api.registry.EXECUTORS`
 (so ``Session(executor="process")``, ``--executor process``, and
 ``@register_executor`` all resolve through one namespace):
 
 ``serial``
     Runs every stage inline, in submission (topological) order — the
-    reference semantics and the default.  Because it executes in the parent
-    process, a summarize stage may still fan its epoch segments out over a
-    process pool (a stage-internal detail).
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Stages share the
-    parent's memo and stores directly; useful when stages are dominated by
-    replay I/O or the vectorised numpy paths that release the GIL.
+    reference semantics and the default.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` — independent grid
     cells (and capture passes) genuinely overlap.  Workers write through the
-    shared on-disk stores and return their payloads to the parent, exactly
-    like the historical suite pool this backend absorbed.
+    shared on-disk stores and return their payloads to the parent.
 ``dispatch``
     The multi-host execution backend: each ready stage is serialised to a
     **leased JSON work item** under ``<cache>/dispatch/`` (see
@@ -40,27 +33,19 @@ Four backends ship, all registered in :data:`repro.api.registry.EXECUTORS`
 The module-level :func:`run_stage` is the single worker entry point every
 backend funnels through, so a stage computes the same payload no matter
 where it runs — the backends are interchangeable by construction, and the
-CI smoke job asserts bit-identical plan artifacts across all four.
-
-Two submission levels:
-
-* :meth:`Executor.submit` — one *stage*; the executor runs
-  :func:`run_stage` wherever it sees fit and :meth:`Executor.finalize`
-  turns the future's raw value into ``(status, payload)``.
-* :meth:`Executor.submit_call` — one picklable ``fn(*args)``; the raw
-  fan-out primitive :class:`~repro.experiments.parallel.ParallelSuiteRunner`
-  uses for sub-stage work (per-epoch summaries, per-cell suite jobs).
+CI smoke job asserts bit-identical plan artifacts across all three.
+:meth:`Executor.submit` hands one stage to the backend and
+:meth:`Executor.finalize` turns the future's raw value into
+``(status, payload)``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import (Future, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 from .registry import EXECUTORS, SYSTEMS, register_executor
@@ -70,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .session import Session
 
 #: The names the built-in backends register under (CLI choices).
-EXECUTOR_NAMES = ("serial", "thread", "process", "dispatch")
+EXECUTOR_NAMES = ("serial", "process", "dispatch")
 
 
 class ExecutorSetupError(RuntimeError):
@@ -84,30 +69,22 @@ class ExecutorSetupError(RuntimeError):
 #: Stage kinds a backend executes; the scheduler runs the remaining kinds
 #: (analyze/prefetch/render) inline because they are pure bookkeeping over
 #: payloads it already holds.
-BACKEND_KINDS = ("capture", "summarize", "prefix", "simulate")
+BACKEND_KINDS = ("capture", "prefix", "simulate")
 
 
-def session_config(session: "Session", shard: bool = False) -> Dict[str, Any]:
-    """The picklable/JSON-able policy a stage needs to run anywhere.
-
-    ``shard`` marks that the stage executes in the parent process and may
-    therefore open its own process pool for the epoch-sharded counting pass.
-    """
+def session_config(session: "Session") -> Dict[str, Any]:
+    """The picklable/JSON-able policy a stage needs to run anywhere."""
     return {"cache_dir": session.cache_dir,
-            "streaming": session.streaming,
             "replay": session.replay,
             "checkpoint": session.checkpoint,
             "resume": session.resume,
             "warm_start": bool(getattr(session, "warm_start", True)),
-            "max_workers": session.max_workers,
-            "shard": bool(shard),
             "profile": bool(getattr(session, "profile", False))}
 
 
 def _config_session(config: Dict[str, Any]) -> "Session":
     from .session import Session
     return Session(cache_dir=config.get("cache_dir"),
-                   streaming=config.get("streaming", True),
                    replay=config.get("replay", True),
                    checkpoint=config.get("checkpoint", True),
                    resume=config.get("resume", True),
@@ -136,29 +113,6 @@ def _stage_capture(params: Dict[str, Any],
     for _ in store.capture(accesses, key):
         pass
     return "ran", None
-
-
-def _stage_summarize(params: Dict[str, Any],
-                     config: Dict[str, Any]) -> Tuple[str, Any]:
-    """Counting pass over one captured stream; returns its EpochSummary."""
-    from ..trace import get_trace_store, trace_params
-    from ..trace.epoch import summarize_trace
-    store = (get_trace_store(config.get("cache_dir"))
-             if config.get("replay", True) else None)
-    reader = (store.open(trace_params(params["workload"], params["n_cpus"],
-                                      params["seed"], params["size"]))
-              if store is not None else None)
-    if reader is None:
-        return "skipped", None
-    if config.get("shard") and config.get("max_workers") != 1 \
-            and reader.n_epochs > 1:
-        # Stage-internal epoch sharding: only when this stage already runs
-        # in the parent process (nesting pools inside workers is a hazard).
-        from ..experiments.parallel import ParallelSuiteRunner
-        runner = ParallelSuiteRunner(max_workers=config.get("max_workers"),
-                                     cache_dir=config.get("cache_dir"))
-        return "ran", runner.summarize_trace(reader)
-    return "ran", summarize_trace(reader)
 
 
 def _stage_prefix(params: Dict[str, Any],
@@ -190,8 +144,7 @@ def _stage_simulate(params: Dict[str, Any],
 
     The per-context status ("cached" vs "ran") is decided *before* running,
     so an analyze stage can report whether its bundle pre-existed in the
-    memo/disk store — the same contract the batched suite path used to
-    provide.
+    memo/disk store.
     """
     from ..experiments.runner import (bundle_status, clamp_warmup_fraction,
                                       run_context)
@@ -220,7 +173,6 @@ def _merge_statuses(statuses: Dict[str, str]) -> str:
 
 
 _STAGE_FNS = {"capture": _stage_capture,
-              "summarize": _stage_summarize,
               "prefix": _stage_prefix,
               "simulate": _stage_simulate}
 
@@ -284,17 +236,13 @@ class Executor(ABC):
 
     Lifecycle: the scheduler calls :meth:`bind` once with the session (and
     the plan, for backends that want to pre-provision), then any number of
-    :meth:`submit`/:meth:`submit_call`, then :meth:`shutdown` (or uses the
-    executor as a context manager).  ``submit`` returns a
-    :class:`concurrent.futures.Future` so heterogeneous backends compose
-    with :func:`concurrent.futures.wait`.
+    :meth:`submit`, then :meth:`shutdown` (or uses the executor as a context
+    manager).  ``submit`` returns a :class:`concurrent.futures.Future` so
+    heterogeneous backends compose with :func:`concurrent.futures.wait`.
     """
 
     #: Registry name; set by subclasses.
     name = "base"
-    #: Whether submitted stages run in the parent process, which permits
-    #: stage-internal pool use (the epoch-sharded counting pass).
-    runs_in_parent = False
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
@@ -312,8 +260,7 @@ class Executor(ABC):
         self.max_workers = (self._own_max_workers
                             if self._own_max_workers is not None
                             else session.max_workers)
-        self._config = session_config(session, shard=self.runs_in_parent)
-        self._config["max_workers"] = self.max_workers
+        self._config = session_config(session)
 
     def configure(self, **overrides: Any) -> None:
         """Merge per-run settings into the stage config.
@@ -335,16 +282,16 @@ class Executor(ABC):
         self.shutdown()
 
     # -- submission ------------------------------------------------------ #
-    @abstractmethod
-    def submit_call(self, fn, *args) -> Future:
-        """Run ``fn(*args)`` under this backend; the raw fan-out primitive."""
-
-    def submit(self, stage: "Stage") -> Future:
-        """Run one ready stage; resolve the future via :meth:`finalize`."""
+    def stage_args(self, stage: "Stage") -> Tuple[str, Dict[str, Any],
+                                                  Dict[str, Any]]:
+        """The picklable/JSON-able :func:`run_stage` arguments of ``stage``."""
         config = dict(self._config)
         config["stage_key"] = stage.key
-        return self.submit_call(run_stage, stage.kind, dict(stage.params),
-                                config)
+        return stage.kind, dict(stage.params), config
+
+    @abstractmethod
+    def submit(self, stage: "Stage") -> Future:
+        """Run one ready stage; resolve the future via :meth:`finalize`."""
 
     def finalize(self, stage: "Stage", value: Any) -> Tuple[str, Any]:
         """Turn a completed future's raw value into ``(status, payload)``."""
@@ -358,16 +305,6 @@ class Executor(ABC):
         return f"<{type(self).__name__} {self.describe()}>"
 
 
-def _completed_future(fn, *args) -> Future:
-    """Run ``fn`` now; wrap its outcome in an already-settled Future."""
-    future: Future = Future()
-    try:
-        future.set_result(fn(*args))
-    except BaseException as exc:  # noqa: BLE001 - future carries it
-        future.set_exception(exc)
-    return future
-
-
 @register_executor("serial", aliases=("inline",))
 class SerialExecutor(Executor):
     """Run every stage inline, in submission order (the reference backend).
@@ -377,43 +314,19 @@ class SerialExecutor(Executor):
     """
 
     name = "serial"
-    runs_in_parent = True
 
-    def submit_call(self, fn, *args) -> Future:
-        return _completed_future(fn, *args)
-
-
-@register_executor("thread")
-class ThreadExecutor(Executor):
-    """Overlap stages on a thread pool sharing the parent's memo/stores."""
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__(max_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def submit_call(self, fn, *args) -> Future:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-stage")
-        return self._pool.submit(fn, *args)
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+    def submit(self, stage: "Stage") -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(run_stage(*self.stage_args(stage)))
+        except Exception as exc:  # noqa: BLE001 - the future carries it
+            future.set_exception(exc)
+        return future
 
 
 @register_executor("process")
 class ProcessExecutor(Executor):
-    """Overlap stages on a process pool writing through the shared stores.
-
-    This backend absorbs the pool the historical ``ParallelSuiteRunner``
-    owned: the suite runner now fans its sub-stage jobs out through
-    :meth:`submit_call` on exactly this class.
-    """
+    """Overlap stages on a process pool writing through the shared stores."""
 
     name = "process"
 
@@ -421,10 +334,10 @@ class ProcessExecutor(Executor):
         super().__init__(max_workers)
         self._pool: Optional[ProcessPoolExecutor] = None
 
-    def submit_call(self, fn, *args) -> Future:
+    def submit(self, stage: "Stage") -> Future:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._pool.submit(fn, *args)
+        return self._pool.submit(run_stage, *self.stage_args(stage))
 
     def shutdown(self) -> None:
         if self._pool is not None:
@@ -441,27 +354,6 @@ class WorkItemCorruptError(RuntimeError):
 
 class WorkItemFailed(RuntimeError):
     """A worker acknowledged an item with a ``failed`` receipt."""
-
-
-def _summary_to_json(summary) -> Dict[str, Any]:
-    return {"first_epoch": summary.first_epoch,
-            "last_epoch": summary.last_epoch,
-            "n_accesses": summary.n_accesses,
-            "instructions": summary.instructions,
-            "kind_counts": {str(k): v
-                            for k, v in summary.kind_counts.items()},
-            "cpu_counts": {str(k): v for k, v in summary.cpu_counts.items()},
-            "distinct_blocks": summary.distinct_blocks}
-
-
-def _summary_from_json(data: Dict[str, Any]):
-    from ..trace.epoch import EpochSummary
-    return EpochSummary(
-        first_epoch=data["first_epoch"], last_epoch=data["last_epoch"],
-        n_accesses=data["n_accesses"], instructions=data["instructions"],
-        kind_counts={int(k): v for k, v in data["kind_counts"].items()},
-        cpu_counts={int(k): v for k, v in data["cpu_counts"].items()},
-        distinct_blocks=data["distinct_blocks"])
 
 
 def execute_work_item(item_path: str,
@@ -504,9 +396,7 @@ def execute_work_item(item_path: str,
                      "error": f"{type(exc).__name__}: {exc}"})
     else:
         done["status"] = status
-        if item["kind"] == "summarize" and payload is not None:
-            done["summary"] = _summary_to_json(payload)
-        elif item["kind"] == "simulate":
+        if item["kind"] == "simulate":
             done["statuses"] = payload["statuses"]
     if not os.path.exists(done_path):  # first finaliser wins
         write_json_atomic(done_path, done)
@@ -524,8 +414,8 @@ class DispatchExecutor(Executor):
     ``claim-NNNN`` creation), heartbeat its lease while executing, and
     acknowledge through an ``item-NNNN.done.json`` receipt; the parent
     recovers the stage's artifacts from the **shared cache root** —
-    analysis bundles from the result store, statuses and epoch summaries
-    from the receipt — never from worker memory.
+    analysis bundles from the result store, statuses from the receipt —
+    never from worker memory.
 
     With ``workers > 0`` (the default: the session's worker budget) the
     executor spawns that many local worker *processes* scoped to its run
@@ -565,11 +455,6 @@ class DispatchExecutor(Executor):
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._monitor: Optional[threading.Thread] = None
-
-    def submit_call(self, fn, *args) -> Future:
-        # Sub-stage fan-out never routes through dispatch (stages run in
-        # worker processes, which must not nest pools); run it inline.
-        return _completed_future(fn, *args)
 
     # -- lifecycle ------------------------------------------------------- #
     def bind(self, session: "Session", plan: Optional["Plan"] = None) -> None:
@@ -633,10 +518,9 @@ class DispatchExecutor(Executor):
 
     # -- submission ------------------------------------------------------ #
     def _item_payload(self, stage: "Stage") -> Dict[str, Any]:
-        config = dict(self._config)
-        config["stage_key"] = stage.key
-        return {"stage": stage.key, "kind": stage.kind,
-                "params": dict(stage.params), "config": config}
+        kind, params, config = self.stage_args(stage)
+        return {"stage": stage.key, "kind": kind, "params": params,
+                "config": config}
 
     def submit(self, stage: "Stage") -> Future:
         if self._run_dir is None:
@@ -690,9 +574,6 @@ class DispatchExecutor(Executor):
     def finalize(self, stage: "Stage", value: Any) -> Tuple[str, Any]:
         done = value  # the receipt dict the monitor resolved the future with
         status = done["status"]
-        if stage.kind == "summarize":
-            return status, (_summary_from_json(done["summary"])
-                            if "summary" in done else None)
         if stage.kind == "simulate":
             return status, {"statuses": done["statuses"],
                             "bundles": self._replay_bundles(stage)}
@@ -717,43 +598,18 @@ class DispatchExecutor(Executor):
         return bundles
 
 
-def choose_executor_name(plan: Optional["Plan"],
-                         costs: Dict[str, Dict[str, float]]) -> str:
+def choose_executor_name(plan: Optional["Plan"]) -> str:
     """The backend ``executor="auto"`` resolves to for this plan.
 
-    The decision reads the plan's backend-stage mix against the observed
-    costs (``TelemetryStore.observed_costs()`` via the run index):
-
-    * no plan in hand, or nothing observed yet — ``process``, the safe
-      overlapping default for compute-bound simulation;
-    * at most one backend stage — ``serial``: nothing can overlap, so
-      skip pool startup entirely;
-    * otherwise compare total observed CPU to total observed wall over
-      the plan's backend stages.  Replay-dominated plans (cpu/wall below
-      :data:`AUTO_THREAD_CPU_RATIO`) spend their time in I/O and numpy
-      releases of the GIL, so threads win without fork/pickle overhead;
-      compute-bound plans get processes.
+    * a plan with at most one backend stage — ``serial``: nothing can
+      overlap, so skip pool startup entirely;
+    * otherwise, or with no plan in hand — ``process``, the overlapping
+      backend for compute-bound simulation.
     """
-    if plan is None:
-        return "process"
-    backend_stages = [stage for stage in plan.stages.values()
-                      if stage.kind in BACKEND_KINDS]
-    if len(backend_stages) <= 1:
+    if plan is not None and sum(stage.kind in BACKEND_KINDS
+                                for stage in plan.stages.values()) <= 1:
         return "serial"
-    wall = cpu = 0.0
-    for stage in backend_stages:
-        estimate = (costs or {}).get(stage.kind)
-        if estimate:
-            wall += float(estimate.get("mean_wall_s", 0.0))
-            cpu += float(estimate.get("mean_cpu_s", 0.0))
-    if wall <= 0.0:
-        return "process"
-    return "thread" if cpu / wall < AUTO_THREAD_CPU_RATIO else "process"
-
-
-#: ``auto`` picks threads when observed cpu/wall falls below this ratio
-#: (the plan's backend stages spend most of their time off the GIL).
-AUTO_THREAD_CPU_RATIO = 0.5
+    return "process"
 
 
 def resolve_executor(policy: Any, session: "Session",
@@ -763,21 +619,13 @@ def resolve_executor(policy: Any, session: "Session",
     ``policy`` may be an executor instance (used as-is), a registered name
     (instantiated with the session's worker budget), ``None`` (the
     session's own ``executor`` policy, default ``serial``), or ``"auto"``
-    (pick serial/thread/process for this ``plan`` from the observed
-    replay/compute mix via :func:`choose_executor_name`).
+    (serial or process for this ``plan``, see :func:`choose_executor_name`).
     """
     if policy is None:
         policy = getattr(session, "executor", None) or "serial"
     if isinstance(policy, Executor):
         return policy
     if policy == "auto":
-        costs: Dict[str, Dict[str, float]] = {}
-        telem = getattr(session, "telemetry_store", None)
-        if telem is not None:
-            try:
-                costs = telem.observed_costs() or {}
-            except Exception:
-                costs = {}
-        policy = choose_executor_name(plan, costs)
+        policy = choose_executor_name(plan)
     factory = EXECUTORS.get(policy)
     return factory(max_workers=session.max_workers)

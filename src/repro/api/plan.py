@@ -5,11 +5,11 @@
 pipeline for every grid cell::
 
     capture:<workload>@<n_cpus>cpu            one per distinct access stream
-      -> summarize:<workload>@<n_cpus>cpu     epoch-sharded counting pass
-        -> simulate:<workload>/<organisation>@scale,warmup   one per cell
-          -> analyze:<workload>/<context>@scale,warmup       one per context
-            -> prefetch:<name>:<cell context>                per prefetcher
-            -> render:<analysis>                             per analysis
+      -> prefix:<workload>/<organisation>@scale        per warm-up group
+      -> simulate:<workload>/<organisation>@scale,warmup   one per cell
+        -> analyze:<workload>/<context>@scale,warmup       one per context
+          -> prefetch:<name>:<cell context>                per prefetcher
+          -> render:<analysis>                             per analysis
 
 The DAG is *explicit* — ``repro spec plan`` prints it (``--format json|dot``
 exports it for external schedulers), tests assert on it — and execution is
@@ -17,7 +17,7 @@ exports it for external schedulers), tests assert on it — and execution is
 stage to the session's :class:`~repro.api.executor.Executor` backend the
 moment its dependencies land, and fires :class:`PlanEvents` lifecycle
 callbacks (``on_stage_start``/``finish``/``error``) as futures settle.  With
-an overlapping backend (``thread``/``process``/``dispatch``) independent
+an overlapping backend (``process``/``dispatch``) independent
 (scale, warmup) combos run concurrently and render stages start as soon as
 their analyze dependencies land, instead of waiting for the whole grid.
 Replay, checkpoint resume, and the result store are engaged per cell
@@ -39,8 +39,8 @@ from .registry import ANALYSES, PREFETCHERS, SYSTEMS
 from .spec import ExperimentSpec
 
 #: Stage kinds in pipeline order.
-STAGE_KINDS = ("capture", "summarize", "prefix", "simulate", "analyze",
-               "prefetch", "render")
+STAGE_KINDS = ("capture", "prefix", "simulate", "analyze", "prefetch",
+               "render")
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class Plan:
 
     def to_dot(self) -> str:
         """The DAG in Graphviz ``dot`` form (one node per stage)."""
-        colors = {"capture": "lightblue", "summarize": "lightcyan",
+        colors = {"capture": "lightblue",
                   "prefix": "lightgoldenrod", "simulate": "khaki",
                   "analyze": "palegreen", "prefetch": "plum",
                   "render": "lightsalmon"}
@@ -264,8 +264,6 @@ class PlanResult:
         default_factory=dict)
     #: render-stage key -> artifact object (``.render()`` or ``str``).
     artifacts: Dict[str, Any] = field(default_factory=dict)
-    #: per-stream EpochSummary from the summarize stages.
-    summaries: Dict[Tuple[str, int], Any] = field(default_factory=dict)
     #: stage key -> "ran" | "cached" | "skipped" | "failed".
     statuses: Dict[str, str] = field(default_factory=dict)
     #: stage key -> the exception a failed stage raised.
@@ -342,29 +340,33 @@ def build_plan(spec: ExperimentSpec, warm_starts: bool = True) -> Plan:
     warmup-free key (:mod:`repro.checkpoint.prefix`).  Member simulate
     stages depend on it and warm-start from the published chain instead of
     recomputing the prefix, on every executor backend.
+
+    A group is planned from its warm-up fractions alone.  Whether its
+    smallest warm-up reaches past the trace's first epoch boundary depends
+    on the captured trace's epoch segments, which do not exist at plan
+    time, so a prefix stage may still report ``skipped`` at run time: at
+    ``small``, OLTP's groups do, because the smallest warm-up ends inside
+    the first epoch.
     """
     from ..experiments.runner import clamp_warmup_fraction
     spec = spec.resolved()
     spec.ensure_valid()
     plan = Plan(spec)
 
-    # One capture + summarize per distinct access stream.  A stream is keyed
-    # by (workload, n_cpus): both organisations of one workload share a
-    # stream only when their CPU counts coincide.
-    stream_keys: Dict[Tuple[str, int], Tuple[str, str]] = {}
+    # One capture per distinct access stream.  A stream is keyed by
+    # (workload, n_cpus): both organisations of one workload share a stream
+    # only when their CPU counts coincide.
+    capture_keys: Dict[Tuple[str, int], str] = {}
     for workload in spec.workloads:
         for organisation in spec.organisations:
             n_cpus = SYSTEMS.get(organisation).n_cpus
-            if (workload, n_cpus) in stream_keys:
+            if (workload, n_cpus) in capture_keys:
                 continue
             capture_key = f"capture:{workload}@{n_cpus}cpu"
-            summarize_key = f"summarize:{workload}@{n_cpus}cpu"
-            params = {"workload": workload, "n_cpus": n_cpus,
-                      "seed": spec.seed, "size": spec.size}
-            plan.add(Stage(capture_key, "capture", dict(params)))
-            plan.add(Stage(summarize_key, "summarize", dict(params),
-                           deps=(capture_key,)))
-            stream_keys[(workload, n_cpus)] = (capture_key, summarize_key)
+            plan.add(Stage(capture_key, "capture",
+                           {"workload": workload, "n_cpus": n_cpus,
+                            "seed": spec.seed, "size": spec.size}))
+            capture_keys[(workload, n_cpus)] = capture_key
 
     # One prefix stage per (workload, organisation, scale) group whose
     # cells span several positive warm-ups: simulate the shared prefix
@@ -378,8 +380,8 @@ def build_plan(spec: ExperimentSpec, warm_starts: bool = True) -> Plan:
                 for cell in spec.cells()]
         for (workload, organisation, scale), warmup in \
                 shared_prefix_groups(grid):
-            capture_key = stream_keys[
-                (workload, SYSTEMS.get(organisation).n_cpus)][0]
+            capture_key = capture_keys[
+                (workload, SYSTEMS.get(organisation).n_cpus)]
             key = f"prefix:{workload}/{organisation}@scale{scale}"
             plan.add(Stage(key, "prefix",
                            {"workload": workload,
@@ -393,7 +395,7 @@ def build_plan(spec: ExperimentSpec, warm_starts: bool = True) -> Plan:
     analyze_keys: Dict[Tuple[int, float], List[str]] = {}
     for cell in spec.cells():
         system = SYSTEMS.get(cell.organisation)
-        stream = stream_keys[(cell.workload, system.n_cpus)]
+        capture_key = capture_keys[(cell.workload, system.n_cpus)]
         prefix_key = prefix_keys.get((cell.workload, cell.organisation,
                                       cell.scale))
         sim_key = (f"simulate:{cell.workload}/{cell.organisation}"
@@ -403,7 +405,8 @@ def build_plan(spec: ExperimentSpec, warm_starts: bool = True) -> Plan:
                         "organisation": cell.organisation,
                         "scale": cell.scale, "warmup": cell.warmup,
                         "size": spec.size, "seed": spec.seed},
-                       deps=stream + ((prefix_key,) if prefix_key else ())))
+                       deps=(capture_key,) + ((prefix_key,) if prefix_key
+                                              else ())))
         for context in system.contexts:
             ana_key = (f"analyze:{cell.workload}/{context}"
                        f"@scale{cell.scale}-warmup{cell.warmup:g}")
@@ -487,9 +490,7 @@ def _record_payload(stage: Stage, status: str, payload: Any,
                     result: PlanResult, session) -> None:
     """File a finished stage's payload under the right PlanResult index."""
     params = stage.params
-    if stage.kind == "summarize" and payload is not None:
-        result.summaries[(params["workload"], params["n_cpus"])] = payload
-    elif stage.kind == "simulate" and payload is not None:
+    if stage.kind == "simulate" and payload is not None:
         # Warm the parent memo so render adapters (and later sessions on
         # this root in this process) reuse the bundles without touching the
         # disk store.

@@ -184,7 +184,7 @@ PREFETCHERS = Registry("prefetcher")
 ANALYSES = Registry("analysis")
 
 #: Execution backends: ``factory(max_workers=None) -> Executor`` (see
-#: :mod:`repro.api.executor` for the protocol and the built-in four).
+#: :mod:`repro.api.executor` for the protocol and the built-in three).
 EXECUTORS = Registry("executor")
 
 

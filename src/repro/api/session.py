@@ -2,9 +2,9 @@
 
 Before this module existed, every entry point reached the persistence layer
 through module-level singletons (``get_trace_store()``,
-``get_checkpoint_store()``, ``runner.get_store()``) and threaded five policy
-flags (``streaming``/``replay``/``checkpoint``/``resume``/``cache_dir``)
-through each call.  A :class:`Session` bundles all of that:
+``get_checkpoint_store()``, ``runner.get_store()``) and threaded the policy
+flags (``replay``/``checkpoint``/``resume``/``cache_dir``) through each
+call.  A :class:`Session` bundles all of that:
 
 * the **cache root** (explicit, or resolved from ``REPRO_CACHE_DIR`` at
   access time so environment changes — e.g. test isolation — keep working),
@@ -22,6 +22,7 @@ behaviour while new code composes sessions explicitly::
     result = session.run("Apache", "multi-chip", size="small")
     plan = session.plan(spec)        # declarative grid -> stage DAG
     outcome = plan.run(session)
+    sweep = session.suite(size="tiny")   # the same scheduler, reshaped
 
 Store accessors return ``None`` when ``REPRO_DISABLE_DISK_CACHE`` is set,
 mirroring the singletons they replace.  Store objects are constructed per
@@ -38,7 +39,6 @@ from ..cachedir import default_cache_root, disk_cache_disabled
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
     from ..checkpoint.store import CheckpointStore
-    from ..experiments.parallel import ParallelSuiteRunner
     from ..experiments.runner import ContextResult
     from ..experiments.store import ResultStore
     from ..trace.store import TraceStore
@@ -58,9 +58,9 @@ class Session:
         Root for all three stores; ``None`` resolves ``REPRO_CACHE_DIR`` /
         ``~/.cache/repro`` at each access.
     max_workers:
-        Process-pool width for suite sweeps and the epoch-sharded counting
-        pass; ``None`` lets the executor pick (cpu count), ``1`` runs inline.
-    streaming / replay / checkpoint / resume:
+        Worker budget of the overlapping executor backends; ``None`` lets
+        the executor pick (cpu count).
+    replay / checkpoint / resume:
         Pipeline policy, with the same meaning as the historical per-call
         flags (see :mod:`repro.experiments.runner`).
     warm_start:
@@ -72,12 +72,14 @@ class Session:
         planning and the restore side.
     executor:
         How plan stages execute: a name registered in
-        :data:`repro.api.registry.EXECUTORS` (``serial``/``thread``/
-        ``process``/``dispatch``), the string ``auto`` (pick serial /
-        thread / process per plan from the observed replay/compute mix —
-        see :func:`~repro.api.executor.choose_executor_name`), or an
+        :data:`repro.api.registry.EXECUTORS` (``serial``/``process``/
+        ``dispatch``), the string ``auto`` (serial for a plan with at most
+        one backend stage, process otherwise — see
+        :func:`~repro.api.executor.choose_executor_name`), or an
         :class:`~repro.api.executor.Executor` instance.  ``serial`` (the
-        default) keeps the historical one-stage-at-a-time semantics.
+        default) keeps the historical one-stage-at-a-time semantics.  Every
+        multi-cell entry point (:meth:`execute`, :meth:`suite`) runs under
+        it.
     dispatch_workers:
         The submit/attach policy of the ``dispatch`` backend: how many
         local worker processes a
@@ -98,7 +100,7 @@ class Session:
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
-                 max_workers: Optional[int] = None, streaming: bool = True,
+                 max_workers: Optional[int] = None,
                  replay: bool = True, checkpoint: bool = True,
                  resume: bool = True, warm_start: bool = True,
                  executor: Any = "serial",
@@ -111,7 +113,6 @@ class Session:
                              "(0 = external fleet)")
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.max_workers = max_workers
-        self.streaming = streaming
         self.replay = replay
         self.checkpoint = checkpoint
         self.resume = resume
@@ -187,7 +188,7 @@ class Session:
 
     # ------------------------------------------------------------------ #
     def with_options(self, cache_dir: Any = _UNSET,
-                     max_workers: Any = _UNSET, streaming: Any = _UNSET,
+                     max_workers: Any = _UNSET,
                      replay: Any = _UNSET, checkpoint: Any = _UNSET,
                      resume: Any = _UNSET, warm_start: Any = _UNSET,
                      executor: Any = _UNSET,
@@ -199,7 +200,6 @@ class Session:
             cache_dir=self.cache_dir if cache_dir is _UNSET else cache_dir,
             max_workers=(self.max_workers if max_workers is _UNSET
                          else max_workers),
-            streaming=self.streaming if streaming is _UNSET else streaming,
             replay=self.replay if replay is _UNSET else replay,
             checkpoint=self.checkpoint if checkpoint is _UNSET else checkpoint,
             resume=self.resume if resume is _UNSET else resume,
@@ -244,29 +244,29 @@ class Session:
               workloads: Optional[Tuple[str, ...]] = None,
               organisations: Optional[Tuple[str, ...]] = None,
               ) -> Dict[str, Dict[str, "ContextResult"]]:
-        """The evaluation sweep over this session's process pool.
+        """The evaluation sweep as ``{workload: {context: bundle}}``.
 
-        Fans out one task per (workload, organisation) cell (see
-        :meth:`ParallelSuiteRunner.run_suite`); a simulation never splits
-        below its cell.
+        Builds one :class:`~repro.api.spec.ExperimentSpec` over
+        ``workloads`` x ``organisations`` (default: every registered one)
+        at one scale and the clamped warm-up, and runs it through
+        :meth:`execute` under this session's ``executor`` policy.
         """
         from ..experiments import runner
-        from ..workloads import WORKLOAD_NAMES
-        return self.parallel_runner().run_suite(
-            size=size, seed=seed,
-            scale=runner.DEFAULT_SCALE if scale is None else scale,
-            workloads=tuple(workloads) if workloads else WORKLOAD_NAMES,
-            warmup_fraction=(runner.DEFAULT_WARMUP_FRACTION
-                             if warmup_fraction is None else warmup_fraction),
-            organisations=organisations)
-
-    def parallel_runner(self) -> "ParallelSuiteRunner":
-        """A :class:`ParallelSuiteRunner` configured from this session."""
-        from ..experiments.parallel import ParallelSuiteRunner
-        return ParallelSuiteRunner(
-            max_workers=self.max_workers, streaming=self.streaming,
-            cache_dir=self.cache_dir, replay=self.replay,
-            checkpoint=self.checkpoint, resume=self.resume)
+        from .spec import ExperimentSpec, spec_contexts
+        scale = runner.DEFAULT_SCALE if scale is None else scale
+        warmup = runner.clamp_warmup_fraction(
+            runner.DEFAULT_WARMUP_FRACTION if warmup_fraction is None
+            else warmup_fraction)
+        spec = ExperimentSpec(
+            name="suite", size=size, seed=seed,
+            workloads=tuple(workloads or ()),
+            organisations=tuple(organisations or ()),
+            scales=(scale,), warmups=(warmup,)).resolved()
+        bundles = self.execute(spec).bundles
+        return {workload: {context: bundles[(workload, context, scale,
+                                             warmup)]
+                           for context in spec_contexts(spec)}
+                for workload in spec.workloads}
 
     # ------------------------------------------------------------------ #
     # declarative plans
@@ -274,7 +274,11 @@ class Session:
     def plan(self, spec: "ExperimentSpec") -> "Plan":
         """Resolve a declarative spec into an explicit stage DAG."""
         from .plan import build_plan
-        return build_plan(spec, warm_starts=self.warm_start)
+        # A prefix stage only runs when replay and checkpoints are on too;
+        # planning one the policy will skip would only report ``skipped``.
+        return build_plan(spec, warm_starts=(self.warm_start
+                                             and self.checkpoint
+                                             and self.replay))
 
     def execute(self, spec_or_plan: Any, executor: Any = None,
                 events: Any = None) -> "PlanResult":
@@ -317,8 +321,8 @@ class Session:
     def describe(self) -> str:
         policy = ", ".join(
             f"{name}={getattr(self, name)}"
-            for name in ("streaming", "replay", "checkpoint", "resume",
-                         "warm_start", "telemetry"))
+            for name in ("replay", "checkpoint", "resume", "warm_start",
+                         "telemetry"))
         if self.profile:
             policy += ", profile=True"
         workers = ("auto" if self.max_workers is None else self.max_workers)

@@ -250,3 +250,10 @@ class ExperimentSpec:
                 f"seed={spec.seed}; prefetchers="
                 f"[{', '.join(spec.prefetchers) or '-'}], analyses="
                 f"[{', '.join(spec.analyses) or '-'}]")
+
+
+def spec_contexts(spec: ExperimentSpec) -> Tuple[str, ...]:
+    """The contexts ``spec``'s grid covers, in organisation order."""
+    return tuple(context
+                 for organisation in spec.resolved().organisations
+                 for context in SYSTEMS.get(organisation).contexts)

@@ -7,9 +7,10 @@ run
     bundle's headline numbers (misses, MPKI, stream fractions, top classes).
     With ``--spec FILE`` runs every cell of a declarative experiment spec.
 suite
-    The full evaluation sweep (all workloads x all contexts) over the
-    process-pool runner; a second invocation is served from the disk cache.
-    With ``--spec FILE`` the sweep grid comes from the spec.
+    The full evaluation sweep (all workloads x all contexts) through the
+    plan scheduler, on a process pool by default; a second invocation is
+    served from the disk cache.  With ``--spec FILE`` the sweep grid comes
+    from the spec.  Every sweep records a telemetry run (see ``stats``).
 report
     Render the paper's figures and tables from (cached) suite results.
     With ``--spec FILE`` renders the spec's requested analyses; with
@@ -38,8 +39,8 @@ trace
     Manage stored access traces: ``capture`` one ahead of time, ``import``
     an external dump (valgrind-lackey, ChampSim-style records, CSV/JSONL)
     as workload ``import:<name>``, ``list`` the store with each trace's
-    origin (captured vs imported), ``info`` for an (optionally
-    epoch-parallel) per-trace breakdown plus the provenance sidecar.
+    origin (captured vs imported), ``info`` for a per-epoch breakdown
+    plus the provenance sidecar.
 fuzz
     The seeded workload fuzzer: ``describe`` parses a
     ``fuzz:<base>[+<base>...][,knob=value...]`` recipe and prints its
@@ -48,7 +49,8 @@ fuzz
     spec/CLI workloads (``workload = "fuzz:Apache+OLTP,drift=0.3"``).
 checkpoint
     Manage epoch-boundary system checkpoints: ``list`` the store, ``info``
-    for one run's stored epochs and resume point.
+    for one run's stored epochs and resume point (or, when the run left
+    none, the shared warm-start prefix of its warm-up group).
 worker
     Run a long-lived dispatch worker: poll the ``<cache>/dispatch/`` work
     queue, claim items under an expiring lease, heartbeat while executing,
@@ -84,9 +86,9 @@ crash-resume snapshots of long simulations and resuming from them (default:
 both on).
 
 Spec-driven executions additionally accept ``--executor
-serial|thread|process|dispatch|auto`` to pick the stage execution backend
-(default: ``process``, or ``serial`` with ``--jobs 1``; ``auto`` chooses
-from the telemetry store's observed stage costs), ``--progress``
+serial|process|dispatch|auto`` to pick the stage execution backend
+(default: ``process``, or ``serial`` with ``--jobs 1``; ``auto`` runs a
+plan with at most one backend stage serially), ``--progress``
 to render the scheduler's stage lifecycle events live on stderr, and
 ``--profile`` to cProfile every stage into the run's telemetry directory.
 """
@@ -120,8 +122,6 @@ def _add_run_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=int, default=DEFAULT_SCALE,
                         help=f"cache scale-down factor (default: "
                              f"{DEFAULT_SCALE})")
-    parser.add_argument("--eager", action="store_true",
-                        help="materialise access traces instead of streaming")
     parser.add_argument("--replay", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="capture access streams on first run and replay "
@@ -149,9 +149,9 @@ def _add_spec_exec_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--executor", default=None,
                         choices=EXECUTOR_NAMES + ("auto",),
                         help="stage execution backend for --spec runs; "
-                             "'auto' picks serial/thread/process per plan "
-                             "from observed stage costs (default: process, "
-                             "or serial with --jobs 1)")
+                             "'auto' picks serial for a plan with at most "
+                             "one backend stage, process otherwise "
+                             "(default: process, or serial with --jobs 1)")
     parser.add_argument("--progress", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="render stage lifecycle events live on stderr "
@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_params(p_run)
 
     p_suite = sub.add_parser(
-        "suite", help="run the full evaluation sweep over a process pool")
+        "suite", help="run the full evaluation sweep through the plan "
+                      "scheduler")
     p_suite.add_argument("--workloads", nargs="+", default=list(WORKLOAD_NAMES),
                          metavar="NAME", help="subset of workloads to sweep")
     p_suite.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -226,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "workload=Apache --where 'wall_s>=0.5')")
     p_report.add_argument("--jobs", type=int, default=None, metavar="N",
                           help="worker processes for --spec execution")
-    # The figure/table drivers expose size and seed only; no --scale/--eager
-    # here, so the report always matches a suite run at the same size/seed.
+    # The figure/table drivers expose size and seed only; no --scale here,
+    # so the report always matches a suite run at the same size/seed.
     p_report.add_argument("--size", default="small",
                           choices=("tiny", "small", "default", "large"),
                           help="work-volume preset (default: small)")
@@ -370,9 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="work-volume preset (default: small)")
     t_info.add_argument("--seed", type=int, default=42,
                         help="workload RNG seed (default: 42)")
-    t_info.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="processes for the epoch-sharded counting pass "
-                             "(default: cpu count; 1 runs inline)")
     _add_cache_params(t_info)
 
     p_fuzz = sub.add_parser(
@@ -538,7 +536,6 @@ def _session_from_args(args: argparse.Namespace):
         executor = "serial" if getattr(args, "jobs", None) == 1 else "process"
     return Session(cache_dir=getattr(args, "cache_dir", None),
                    max_workers=getattr(args, "jobs", None),
-                   streaming=not getattr(args, "eager", False),
                    replay=getattr(args, "replay", True),
                    checkpoint=getattr(args, "checkpoint", True),
                    resume=getattr(args, "resume", True),
@@ -741,7 +738,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         if _spec_flag_conflicts(args, _SUITE_SPEC_DEFAULTS,
                                 tuple(_SUITE_SPEC_DEFAULTS)):
             return 2
-        from .experiments.parallel import spec_contexts
+        from .api import spec_contexts
         spec = _load_spec(args.spec)
         if spec is None:
             return 2
@@ -771,8 +768,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
               f"(known: {', '.join(WORKLOAD_NAMES)})", file=sys.stderr)
         return 2
     start = time.time()
+    # A spec rejects duplicate workloads; the flag has always tolerated them.
     results = session.suite(size=args.size, seed=args.seed, scale=args.scale,
-                            workloads=tuple(args.workloads))
+                            workloads=tuple(dict.fromkeys(args.workloads)))
     _print_suite_table(args.workloads, ALL_CONTEXTS, results, args.size,
                        jobs, time.time() - start)
     return 0
@@ -954,16 +952,13 @@ def _cmd_trace_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_info(args: argparse.Namespace) -> int:
-    from .experiments import ParallelSuiteRunner
     from .ingest import load_provenance
-    from .trace import get_trace_store, summarize_chunk, trace_params
+    from .trace import (get_trace_store, summarize_chunk, summarize_trace,
+                        trace_params)
     store = get_trace_store(args.cache_dir)
     if store is None:
         print("disk cache is disabled (REPRO_DISABLE_DISK_CACHE set)",
               file=sys.stderr)
-        return 2
-    if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
     params = trace_params(args.workload, args.cpus, args.seed, args.size)
     reader = store.open(params)
@@ -999,10 +994,8 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
               f"{summary.kind_counts.get(0, 0):>10,}"
               f"{summary.kind_counts.get(1, 0):>10,}")
     start = time.time()
-    merged = ParallelSuiteRunner(max_workers=args.jobs).summarize_trace(reader)
-    elapsed = time.time() - start
-    jobs = "inline" if args.jobs == 1 else f"jobs={args.jobs or 'auto'}"
-    print(f"merged ({jobs}, {elapsed:.2f}s): {merged.describe()}")
+    merged = summarize_trace(reader)
+    print(f"merged ({time.time() - start:.2f}s): {merged.describe()}")
     return 0
 
 
@@ -1151,8 +1144,19 @@ def _cmd_checkpoint_gc(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_checkpoint_epochs(store, params, epochs) -> None:
+    header = f"{'epoch':>8}{'kind':>8}{'size (KiB)':>14}"
+    print(header)
+    print("-" * len(header))
+    for epoch in epochs:
+        kind = store.entry_kind(params, epoch)
+        size_kib = store.entry_size(params, epoch) / 1024
+        print(f"{epoch:>8}{kind:>8}{size_kib:>14.1f}")
+
+
 def _cmd_checkpoint_info(args: argparse.Namespace) -> int:
     from .checkpoint import checkpoint_params, get_checkpoint_store
+    from .checkpoint.prefix import prefix_params
     from .experiments import DEFAULT_WARMUP_FRACTION
     from .experiments.runner import clamp_warmup_fraction
     from .mem.config import multichip_config, singlechip_config
@@ -1178,8 +1182,24 @@ def _cmd_checkpoint_info(args: argparse.Namespace) -> int:
     params = checkpoint_params(args.workload, n_cpus, args.seed, args.size,
                                args.organisation, args.scale, warmup,
                                **kwargs)
+    title = (f"{args.workload} / {args.organisation} (size={args.size}, "
+             f"seed={args.seed}, scale={args.scale}, warmup={warmup})")
     epochs = store.epochs(params)
     if not epochs:
+        # A sweep's cells leave no checkpoints of their own; what a warm-up
+        # group shares is its prefix, keyed without the warm-up.
+        prefix = prefix_params(args.workload, n_cpus, args.seed, args.size,
+                               args.organisation, args.scale, **kwargs)
+        epochs = store.epochs(prefix)
+        if epochs:
+            print(f"{title} — no checkpoints of its own; its warm-up "
+                  f"group's shared prefix holds {len(epochs)} checkpoint"
+                  f"{'' if len(epochs) == 1 else 's'}")
+            _print_checkpoint_epochs(store, prefix, epochs)
+            print(f"warm-start prefix: epoch {epochs[-1]} (a `run` of this "
+                  f"configuration whose warm-up reaches that boundary "
+                  f"restores it instead of simulating the prefix)")
+            return 0
         from .checkpoint.replay import CHECKPOINT_INTERVAL_S
         print(f"no checkpoints for {params}; a replayed simulation "
               f"snapshots an epoch boundary only after "
@@ -1189,17 +1209,9 @@ def _cmd_checkpoint_info(args: argparse.Namespace) -> int:
               f"than {CHECKPOINT_INTERVAL_S:g} s of simulation leaves "
               f"checkpoints behind", file=sys.stderr)
         return 1
-    run_dir = store.path_for(params)
-    print(f"{args.workload} / {args.organisation} (size={args.size}, "
-          f"seed={args.seed}, scale={args.scale}, warmup={warmup}) — "
-          f"{len(epochs)} checkpoint{'' if len(epochs) == 1 else 's'}")
-    header = f"{'epoch':>8}{'kind':>8}{'size (KiB)':>14}"
-    print(header)
-    print("-" * len(header))
-    for epoch in epochs:
-        kind = store.entry_kind(params, epoch)
-        size_kib = store.entry_size(params, epoch) / 1024
-        print(f"{epoch:>8}{kind:>8}{size_kib:>14.1f}")
+    print(f"{title} — {len(epochs)} checkpoint"
+          f"{'' if len(epochs) == 1 else 's'}")
+    _print_checkpoint_epochs(store, params, epochs)
     print(f"resume point: epoch {epochs[-1]} "
           f"(a `run` of this configuration restores it and simulates only "
           f"the remaining epochs)")
@@ -1479,12 +1491,6 @@ def _cmd_queue(args: argparse.Namespace) -> int:
                     state = "pending"
             print(f"  {item.parent.name}/{item.name}: {state}")
     return 0
-
-
-#: Stage kinds whose compute runs on the executor backend; their
-#: worker-origin spans measure the stage function itself, so ``stats``
-#: prefers those rows over the scheduler's submission-to-settle spans.
-_BACKEND_SPAN_KINDS = ("capture", "summarize", "simulate")
 
 
 def _stats_rows(spans: list) -> list:

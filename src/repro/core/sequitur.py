@@ -153,7 +153,7 @@ class Grammar:
     # symbol lists and overflow the interpreter stack on any non-trivial
     # grammar.  Serialise iteratively as (rule id -> token list) instead and
     # rebuild the linked structure, refcounts, and digram index on load, so
-    # grammars can cross process boundaries (parallel suite runner) and live
+    # grammars can cross process boundaries (process-pool workers) and live
     # in the on-disk result store.
 
     def __getstate__(self) -> Dict:

@@ -20,11 +20,9 @@ from .figure1 import Figure1Result, figure1
 from .figure2 import Figure2Result, figure2
 from .figure3 import Figure3Result, figure3
 from .figure4 import Figure4Result, figure4
-from .parallel import ORGANISATION_CONTEXTS, ParallelSuiteRunner
 from .runner import (ContextResult, DEFAULT_WARMUP_FRACTION,
                      clamp_warmup_fraction, clear_cache, get_store,
-                     run_all_contexts, run_context, run_suite,
-                     run_workload_context)
+                     run_context)
 from .store import (CACHE_DIR_ENV, CACHE_DISABLE_ENV, CACHE_SCHEMA,
                     ResultStore, default_cache_root)
 from .tables import (OriginsResult, render_table1, render_table2, table1,
@@ -33,13 +31,12 @@ from .tables import (OriginsResult, render_table1, render_table2, table1,
 __all__ = [
     "CACHE_DIR_ENV", "CACHE_DISABLE_ENV", "CACHE_SCHEMA", "ContextResult",
     "DEFAULT_WARMUP_FRACTION", "Figure1Result", "Figure2Result",
-    "Figure3Result", "Figure4Result", "ORGANISATION_CONTEXTS",
-    "OriginsResult", "ParallelSuiteRunner", "PrefetcherComparison",
+    "Figure3Result", "Figure4Result",
+    "OriginsResult", "PrefetcherComparison",
     "ResultStore", "StreamFinderAgreement", "clear_cache",
     "default_cache_root", "figure1", "figure2", "figure3", "figure4",
     "clamp_warmup_fraction", "get_store", "prefetcher_ablation",
-    "render_table1", "render_table2",
-    "run_all_contexts", "run_context", "run_suite", "run_workload_context",
+    "render_table1", "render_table2", "run_context",
     "stream_finder_ablation", "stride_sensitivity", "table1", "table2",
     "table3", "table4", "table5",
 ]

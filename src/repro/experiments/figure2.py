@@ -60,7 +60,7 @@ def figure2(size: str = "small", seed: int = 42,
 def _figure2_analysis(session, spec, scale: int,
                       warmup_fraction: float) -> Figure2Result:
     """Spec adapter: Figure 2 over one (scale, warmup) slice of the grid."""
-    from .parallel import spec_contexts
+    from ..api.spec import spec_contexts
     return figure2(size=spec.size, seed=spec.seed, workloads=spec.workloads,
                    contexts=spec_contexts(spec), scale=scale,
                    warmup_fraction=warmup_fraction, session=session)

@@ -56,7 +56,7 @@ def figure3(size: str = "small", seed: int = 42,
 def _figure3_analysis(session, spec, scale: int,
                       warmup_fraction: float) -> Figure3Result:
     """Spec adapter: Figure 3 over one (scale, warmup) slice of the grid."""
-    from .parallel import spec_contexts
+    from ..api.spec import spec_contexts
     return figure3(size=spec.size, seed=spec.seed, workloads=spec.workloads,
                    contexts=spec_contexts(spec), scale=scale,
                    warmup_fraction=warmup_fraction, session=session)

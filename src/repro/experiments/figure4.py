@@ -76,7 +76,7 @@ def figure4(size: str = "small", seed: int = 42,
 def _figure4_analysis(session, spec, scale: int,
                       warmup_fraction: float) -> Figure4Result:
     """Spec adapter: Figure 4 over one (scale, warmup) slice of the grid."""
-    from .parallel import spec_contexts
+    from ..api.spec import spec_contexts
     return figure4(size=spec.size, seed=spec.seed, workloads=spec.workloads,
                    contexts=spec_contexts(spec), scale=scale,
                    warmup_fraction=warmup_fraction, session=session)

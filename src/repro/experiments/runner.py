@@ -1,23 +1,20 @@
 """Experiment runner: workload -> system model -> full analysis bundle.
 
 Every figure and table of the paper is computed from the same per-(workload,
-context) analysis bundle; this module builds those bundles through a
-streaming pipeline and caches them at two levels:
+context) analysis bundle; :func:`run_context` builds one and caches it at
+two levels:
 
 * an **in-process memo** (dict), preserving object identity for repeated
   calls within one process, and
 * a **versioned on-disk store** (:mod:`repro.experiments.store`), so figure
-  and table regeneration across processes — including the parallel suite
-  runner's workers — never re-simulates a configuration.
+  and table regeneration across processes — including the plan
+  scheduler's pool workers — never re-simulates a configuration.
 
-Simulation is *streaming* by default: accesses flow from the workload
-generators into the system models chunk-wise, so peak memory is bounded by
-one chunk instead of the whole access trace.  Because the warm-up boundary
-is a fraction of the (not-known-in-advance) trace length, streaming mode
-first makes a cheap counting pass over a fresh workload instance, then
-simulates a second, identical instance; pass ``streaming=False`` to
-materialise the trace in one pass instead (the historical behaviour, ~2x
-the memory for ~half the generation work).
+Simulation is *streaming*: accesses flow from the workload generators into
+the system models chunk-wise, so peak memory is bounded by one chunk
+instead of the whole access trace.  Because the warm-up boundary is a
+fraction of the (not-known-in-advance) trace length, a first run makes a
+counting pass over a fresh workload instance before it simulates.
 
 With ``replay=True`` (the default) the counting pass doubles as **trace
 capture**: the generated stream is tee'd into the columnar
@@ -27,7 +24,9 @@ simulation of the same ``(workload, n_cpus, seed, size)`` stream — any
 warm-up fraction, any cache scale, either pass — replays from disk without
 touching the generators at all.  Replayed epochs reach the system models as
 columnar chunks, enabling the vectorised block-address fast path in
-:meth:`repro.mem.stream.StreamingSystemMixin.process_chunk`.
+:meth:`repro.mem.stream.StreamingSystemMixin.process_chunk`.  Without a
+trace store (replay off, or the disk cache disabled) the simulation pass
+generates the stream a second time.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from ..mem.singlechip import SingleChipSystem
 from ..mem.trace import (DEFAULT_CHUNK_SIZE, INTRA_CHIP, MULTI_CHIP,
                          MissTrace, SINGLE_CHIP)
 from ..trace import TraceCorruptError, get_trace_store, trace_params
-from ..workloads import WORKLOAD_NAMES, create_workload
+from ..workloads import create_workload
 from .store import ResultStore
 
 #: Fraction of the access trace used to warm the caches before recording,
@@ -170,7 +169,7 @@ def _build_system(organisation: str, scale: int
 
 
 def _simulate(workload: str, organisation: str, size: str, seed: int,
-              scale: int, warmup_fraction: float, streaming: bool = True,
+              scale: int, warmup_fraction: float,
               chunk_size: int = DEFAULT_CHUNK_SIZE, replay: bool = True,
               cache_dir: Optional[str] = None, checkpoint: bool = True,
               resume: bool = True,
@@ -200,9 +199,8 @@ def _simulate(workload: str, organisation: str, size: str, seed: int,
     try:
         traces = _simulate_once(
             workload, organisation, size, seed, scale, warmup_fraction,
-            streaming=streaming, chunk_size=chunk_size, replay=replay,
-            cache_dir=cache_dir, checkpoint=checkpoint, resume=resume,
-            warm_start=warm_start)
+            chunk_size=chunk_size, replay=replay, cache_dir=cache_dir,
+            checkpoint=checkpoint, resume=resume, warm_start=warm_start)
     except TraceCorruptError as exc:
         warnings.warn(
             f"captured trace for {workload} is corrupt mid-replay ({exc}); "
@@ -217,15 +215,14 @@ def _simulate(workload: str, organisation: str, size: str, seed: int,
                                           size))
         traces = _simulate_once(
             workload, organisation, size, seed, scale, warmup_fraction,
-            streaming=streaming, chunk_size=chunk_size, replay=False,
-            cache_dir=cache_dir, checkpoint=checkpoint, resume=resume,
-            warm_start=warm_start)
+            chunk_size=chunk_size, replay=False, cache_dir=cache_dir,
+            checkpoint=checkpoint, resume=resume, warm_start=warm_start)
     _TRACE_CACHE[key] = traces
     return traces
 
 
 def _simulate_once(workload: str, organisation: str, size: str, seed: int,
-                   scale: int, warmup_fraction: float, streaming: bool,
+                   scale: int, warmup_fraction: float,
                    chunk_size: int, replay: bool, cache_dir: Optional[str],
                    checkpoint: bool, resume: bool,
                    warm_start: bool = True) -> Dict[str, MissTrace]:
@@ -243,13 +240,12 @@ def _simulate_once(workload: str, organisation: str, size: str, seed: int,
     accesses: Optional[Iterator] = None
     if reader is not None:
         # Replay: length and stream both come from disk; the generators are
-        # never instantiated.  This supersedes both streaming and eager
-        # generation — the replayed stream is identical by construction.
+        # never instantiated.
         n_accesses = reader.n_accesses
-    elif streaming:
+    else:
         # Counting pass over a fresh instance to place the warm-up boundary;
         # workloads are deterministic in (name, n_cpus, seed, size), so the
-        # second pass replays the identical stream.  With a trace store the
+        # second pass sees the identical stream.  With a trace store the
         # counting pass is tee'd through a CaptureWriter, and the second
         # pass replays the capture instead of re-generating.
         counted = create_workload(workload, n_cpus=config.n_cpus, seed=seed,
@@ -263,15 +259,6 @@ def _simulate_once(workload: str, organisation: str, size: str, seed: int,
             accesses = create_workload(
                 workload, n_cpus=config.n_cpus, seed=seed,
                 size=size).iter_accesses()
-    else:
-        trace = create_workload(workload, n_cpus=config.n_cpus, seed=seed,
-                                size=size).generate()
-        n_accesses = len(trace)
-        accesses = iter(trace)
-        if trace_store is not None:
-            # Eager mode generated the stream anyway; capture it for free so
-            # later runs (streaming or eager) replay from disk.
-            accesses = trace_store.capture(accesses, stream_key)
     warmup = int(n_accesses * fraction)
     if reader is not None:
         # Checkpointed replay: resume from the latest snapshot an earlier,
@@ -336,10 +323,11 @@ def run_context(workload: str, context: str, *, size: str = "small",
     (the latter two come from the same single-chip simulation).  Results are
     memoised in-process and persisted to the versioned disk store.  The
     ``session`` (default: the process-wide default session) supplies the
-    cache root and the streaming/replay/checkpoint/resume policy — none of
-    which affect the produced results (a resumed run is bit-identical by
+    cache root and the replay/checkpoint/resume policy — none of which
+    affect the produced results (a resumed run is bit-identical by
     construction).  This is the engine behind
-    :meth:`repro.api.session.Session.run`.
+    :meth:`repro.api.session.Session.run` and every simulate stage of a
+    plan.
     """
     session = session if session is not None else get_default_session()
     # Route the context to the registered organisation that produces it, so
@@ -365,7 +353,7 @@ def run_context(workload: str, context: str, *, size: str = "small",
             _CACHE[cache_key] = cached
             return cached
     traces = _simulate(workload, organisation, size, seed, scale,
-                       warmup_fraction, streaming=session.streaming,
+                       warmup_fraction,
                        replay=session.replay, cache_dir=session.cache_dir,
                        checkpoint=session.checkpoint, resume=session.resume,
                        warm_start=getattr(session, "warm_start", True))
@@ -374,73 +362,3 @@ def run_context(workload: str, context: str, *, size: str = "small",
     if store is not None:
         store.save("context", params, result)
     return result
-
-
-def _legacy_session(streaming: bool, cache_dir: Optional[str], replay: bool,
-                    checkpoint: bool, resume: bool) -> Session:
-    """A session carrying the historical per-call policy flags."""
-    return get_default_session().with_options(
-        cache_dir=cache_dir, streaming=streaming, replay=replay,
-        checkpoint=checkpoint, resume=resume)
-
-
-def run_workload_context(workload: str, context: str, size: str = "small",
-                         seed: int = 42, scale: int = DEFAULT_SCALE,
-                         warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-                         streaming: bool = True,
-                         cache_dir: Optional[str] = None,
-                         replay: bool = True, checkpoint: bool = True,
-                         resume: bool = True,
-                         ) -> ContextResult:
-    """Deprecated: use :meth:`repro.api.session.Session.run`.
-
-    Kept as a back-compat shim delegating to the default session; results
-    are identical to the new API by construction.
-    """
-    warnings.warn(
-        "run_workload_context is deprecated; use repro.api.Session.run "
-        "(or repro.experiments.runner.run_context)", DeprecationWarning,
-        stacklevel=2)
-    return run_context(
-        workload, context, size=size, seed=seed, scale=scale,
-        warmup_fraction=warmup_fraction,
-        session=_legacy_session(streaming, cache_dir, replay, checkpoint,
-                                resume))
-
-
-def run_all_contexts(workload: str, size: str = "small", seed: int = 42,
-                     scale: int = DEFAULT_SCALE, streaming: bool = True,
-                     cache_dir: Optional[str] = None, replay: bool = True,
-                     checkpoint: bool = True, resume: bool = True,
-                     ) -> Dict[str, ContextResult]:
-    """Deprecated: use :meth:`repro.api.session.Session.run_all`."""
-    warnings.warn(
-        "run_all_contexts is deprecated; use repro.api.Session.run_all",
-        DeprecationWarning, stacklevel=2)
-    session = _legacy_session(streaming, cache_dir, replay, checkpoint,
-                              resume)
-    return {context: run_context(workload, context, size=size, seed=seed,
-                                 scale=scale, session=session)
-            for context in (MULTI_CHIP, SINGLE_CHIP, INTRA_CHIP)}
-
-
-def run_suite(size: str = "small", seed: int = 42,
-              scale: int = DEFAULT_SCALE,
-              workloads: Tuple[str, ...] = WORKLOAD_NAMES,
-              streaming: bool = True, replay: bool = True,
-              checkpoint: bool = True, resume: bool = True,
-              ) -> Dict[str, Dict[str, ContextResult]]:
-    """Deprecated: use :meth:`repro.api.session.Session.suite` (pooled) or
-    loop :func:`run_context` for a serial sweep.
-
-    See :class:`repro.experiments.parallel.ParallelSuiteRunner` for the
-    process-pool version used by ``python -m repro suite``.
-    """
-    warnings.warn(
-        "run_suite is deprecated; use repro.api.Session.suite",
-        DeprecationWarning, stacklevel=2)
-    session = _legacy_session(streaming, None, replay, checkpoint, resume)
-    return {name: {context: run_context(name, context, size=size, seed=seed,
-                                        scale=scale, session=session)
-                   for context in (MULTI_CHIP, SINGLE_CHIP, INTRA_CHIP)}
-            for name in workloads}

@@ -46,7 +46,7 @@ class ResultStore:
     """Pickle-backed store of computed results, keyed by run parameters.
 
     Writes are atomic (write to a temp file, then ``os.replace``), so
-    concurrent workers in the parallel suite runner may race on the same key
+    concurrent process-pool or dispatch workers may race on the same key
     without corrupting entries — last writer wins with identical content.
     """
 

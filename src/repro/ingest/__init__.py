@@ -18,8 +18,8 @@ Importing this package registers the ``import:`` and ``fuzz:`` **name
 prefixes** on the ``WORKLOADS`` registry (see
 :meth:`repro.api.registry.Registry.register_prefix`), which is what lets a
 spec say ``workloads = ["import:memcached", "fuzz:Apache+OLTP,drift=0.3"]``
-and have plans, the trace store, checkpoints, the run index, and all four
-executors treat those cells like any paper workload.
+and have plans, the trace store, checkpoints, the run index, and every
+executor treat those cells like any paper workload.
 :mod:`repro.workloads` imports this package, so the prefixes exist wherever
 workloads are resolvable — including freshly spawned dispatch workers.
 """

@@ -359,12 +359,13 @@ class ImportedTraceWorkload:
 
     Imported streams cannot be *generated* — they exist only as committed
     traces — so this satisfies the workload consumption contract
-    (``iter_accesses`` / ``generate``) by replaying from the session's
-    trace store.  The replay pipeline never gets here when the trace exists
-    (the store reader wins first); it is reached only by eager mode, by a
-    capture stage whose trace was deleted, or by generation fallbacks — and
-    then either replays the store copy or fails with re-import guidance
-    instead of silently fabricating data.
+    (``iter_accesses``) by replaying from the session's trace store.  The
+    replay pipeline never gets here when the trace exists (the store
+    reader wins first); it is reached only by a capture stage whose trace
+    was deleted, by a run with replay off, or by the re-generation
+    fallback after a corrupt replay — and then either replays the store
+    copy or fails with re-import guidance instead of silently fabricating
+    data.
     """
 
     def __init__(self, name: str, n_cpus: int, seed: int = 42,
@@ -393,13 +394,6 @@ class ImportedTraceWorkload:
                 f"--name {self.name} --cpus {self.n_cpus} "
                 f"--size {self.size} --seed {self.seed}` first")
         return reader.iter_accesses()
-
-    def generate(self):
-        from ..mem.trace import AccessTrace
-        trace = AccessTrace()
-        for access in self.iter_accesses():
-            trace.append(access)
-        return trace
 
 
 # --------------------------------------------------------------------------- #

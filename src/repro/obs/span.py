@@ -2,7 +2,7 @@
 
 A :class:`Span` measures one unit of work — wall time via
 ``time.perf_counter``, CPU time via ``time.thread_time`` (per-thread, so
-concurrent stages in the thread backend don't bleed into each other), peak
+the scheduler's own threads don't bleed into a stage), peak
 RSS via ``resource.getrusage`` (Linux: KiB; absent on platforms without the
 ``resource`` module), and the delta of every registered store counter
 (trace hits/misses, checkpoint saves/loads, generation runs) between entry
@@ -17,7 +17,7 @@ Two origins produce spans for the same plan:
   submission-to-settle latency (queueing included).
 * ``origin="worker"`` — emitted inside ``run_stage`` around the actual
   stage function, in whichever process executes it: the serial scheduler
-  itself, a thread/process pool worker, an embedded dispatch worker, or a
+  itself, a process pool worker, an embedded dispatch worker, or a
   remote ``repro worker`` daemon.  This is the true compute cost.
 
 Both origins exist under every backend, so the set of ``(stage, origin)``

@@ -16,13 +16,13 @@ over the same stream skips generation entirely.
   ``Access`` iteration, random access to single epochs.
 * :mod:`~repro.trace.store` — :class:`TraceStore`, content-addressed under
   the shared ``REPRO_CACHE_DIR`` root, with process-wide hit/miss counters.
-* :mod:`~repro.trace.epoch` — :class:`EpochSummary` map/merge, the unit of
-  epoch-sharded parallelism (see ``ParallelSuiteRunner.summarize_trace``).
+* :mod:`~repro.trace.epoch` — :class:`EpochSummary` per-epoch counting and
+  its in-order merge (``repro trace info``), plus epoch-boundary arithmetic.
 """
 
 from .capture import CaptureWriter, capture_stream
 from .epoch import (EpochSummary, merge_summaries, summarize_chunk,
-                    summarize_trace, summarize_trace_epoch)
+                    summarize_trace)
 from .format import (ColumnarChunk, DEFAULT_EPOCH_SIZE, FunctionTable,
                      TRACE_FORMAT_VERSION, TraceMeta)
 from .replay import TraceCorruptError, TraceReader, is_trace_dir
@@ -34,6 +34,5 @@ __all__ = [
     "FunctionTable", "STATS", "TRACE_FORMAT_VERSION", "TraceCorruptError",
     "TraceMeta", "TraceReader", "TraceStore", "TraceStoreStats",
     "capture_stream", "get_trace_store", "is_trace_dir", "merge_summaries",
-    "summarize_chunk", "summarize_trace", "summarize_trace_epoch",
-    "trace_params",
+    "summarize_chunk", "summarize_trace", "trace_params",
 ]

@@ -1,23 +1,18 @@
-"""Per-epoch summaries: the map/merge unit of epoch-sharded trace work.
+"""Per-epoch summaries of a captured trace, and epoch-boundary arithmetic.
 
-The streaming runner's *counting pass* — everything about an access stream
-that must be known before simulating it (length, instruction total, CPU
-population, kind mix) — decomposes perfectly over a trace's epoch segments:
-summarise each epoch independently (:func:`summarize_chunk`), then fold the
-partial summaries together **in epoch order** (:func:`merge_summaries`), so
-the merged result is deterministic no matter which order a process pool
-completed the epochs in.
-
-:func:`summarize_trace_epoch` is the module-level pool entry point: a worker
-opens the trace directory, decodes exactly one segment, and returns its
-summary (see :meth:`repro.experiments.parallel.ParallelSuiteRunner.summarize_trace`).
+Everything ``repro trace info`` reports about an access stream — length,
+instruction total, CPU population, kind mix — decomposes over the trace's
+epoch segments: summarise each epoch independently (:func:`summarize_chunk`),
+then fold the partial summaries together **in epoch order**
+(:func:`merge_summaries`).  :func:`summarize_trace` does both over a whole
+trace.  :func:`boundary_at_or_before` turns an access count into the last
+epoch boundary inside it, which the warm-start code uses.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -97,9 +92,8 @@ def merge_summaries(summaries: Iterable[Tuple[int, EpochSummary]]
                     ) -> EpochSummary:
     """Fold ``(epoch_index, summary)`` pairs deterministically.
 
-    Pairs may arrive in any order (e.g. pool completion order); they are
-    sorted by epoch index before folding, so the merged summary is a pure
-    function of the trace.
+    Pairs may arrive in any order; they are sorted by epoch index before
+    folding, so the merged summary is a pure function of the trace.
     """
     merged = EpochSummary()
     for _, summary in sorted(summaries, key=lambda pair: pair[0]):
@@ -107,17 +101,9 @@ def merge_summaries(summaries: Iterable[Tuple[int, EpochSummary]]
     return merged
 
 
-def summarize_trace_epoch(trace_path: os.PathLike, epoch_index: int,
-                          block_bits: int = 6) -> Tuple[int, EpochSummary]:
-    """Pool worker: summarise exactly one epoch of the trace at ``trace_path``."""
-    reader = TraceReader(trace_path)
-    return epoch_index, summarize_chunk(reader.epoch(epoch_index),
-                                        block_bits=block_bits)
-
-
 def summarize_trace(reader: TraceReader,
                     block_bits: int = 6) -> EpochSummary:
-    """Sequential whole-trace summary (the reference the parallel path must match)."""
+    """The whole trace's summary, one epoch at a time."""
     return merge_summaries(
         (chunk.epoch, summarize_chunk(chunk, block_bits=block_bits))
         for chunk in reader.iter_epochs())

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.api import (EventLog, ExperimentSpec, Plan, Session, Stage,
-                       SerialExecutor, ThreadExecutor, ProcessExecutor,
+                       SerialExecutor, ProcessExecutor,
                        execute_plan, resolve_executor)
 from repro.api import executor as executor_mod
-from repro.api.executor import AUTO_THREAD_CPU_RATIO, choose_executor_name
+from repro.api.executor import choose_executor_name
 from repro.experiments import runner
 from repro.experiments.store import CACHE_DIR_ENV, CACHE_DISABLE_ENV
 from repro.obs.store import TelemetryStore
@@ -98,7 +98,7 @@ class TestCostAwareEquivalence:
         session = Session(max_workers=2, executor="serial")
         baseline = session.execute(SPEC).render_all()
         assert session.telemetry_store.observed_costs()  # model is live
-        for name in ("thread", "process", "dispatch", "auto"):
+        for name in ("process", "dispatch", "auto"):
             # Drop results (forcing real re-execution under the cost-aware
             # order) but keep telemetry and traces.
             session.result_store.clear()
@@ -111,41 +111,33 @@ class TestCostAwareEquivalence:
 
 class TestAutoExecutor:
     def test_no_plan_defaults_to_process(self):
-        assert choose_executor_name(None, COSTS) == "process"
+        assert choose_executor_name(None) == "process"
 
     def test_single_backend_stage_runs_serial(self):
         plan = Plan(SPEC)
         plan.add(Stage("simulate:x", "simulate", {}))
         plan.add(Stage("analyze:a", "analyze", {}, deps=("simulate:x",)))
-        assert choose_executor_name(plan, COSTS) == "serial"
+        assert choose_executor_name(plan) == "serial"
 
     def test_unobserved_mix_defaults_to_process(self):
-        assert choose_executor_name(mixed_plan(), {}) == "process"
+        assert choose_executor_name(mixed_plan()) == "process"
 
-    def test_replay_dominated_mix_picks_threads(self):
-        costs = {"simulate": {"mean_wall_s": 10.0, "mean_cpu_s": 1.0},
-                 "capture": {"mean_wall_s": 10.0, "mean_cpu_s": 1.0}}
-        assert choose_executor_name(mixed_plan(), costs) == "thread"
+    def test_compute_bound_mix_picks_processes(self, private_cache,
+                                               monkeypatch):
+        monkeypatch.setattr(
+            TelemetryStore, "observed_costs",
+            lambda self: {"simulate": {"mean_wall_s": 10.0,
+                                       "mean_cpu_s": 9.0},
+                          "capture": {"mean_wall_s": 10.0,
+                                      "mean_cpu_s": 9.0}})
+        assert isinstance(resolve_executor("auto", Session(),
+                                           plan=mixed_plan()),
+                          ProcessExecutor)
 
-    def test_compute_bound_mix_picks_processes(self):
-        costs = {"simulate": {"mean_wall_s": 10.0, "mean_cpu_s": 9.0},
-                 "capture": {"mean_wall_s": 10.0, "mean_cpu_s": 9.0}}
-        assert choose_executor_name(mixed_plan(), costs) == "process"
-
-    def test_threshold_is_the_documented_constant(self):
-        wall = 10.0
-        below = {"simulate": {"mean_wall_s": wall,
-                              "mean_cpu_s": wall * AUTO_THREAD_CPU_RATIO
-                              - 0.01},
-                 "capture": {"mean_wall_s": 0.0, "mean_cpu_s": 0.0}}
-        at = {"simulate": {"mean_wall_s": wall,
-                           "mean_cpu_s": wall * AUTO_THREAD_CPU_RATIO},
-              "capture": {"mean_wall_s": 0.0, "mean_cpu_s": 0.0}}
-        assert choose_executor_name(mixed_plan(), below) == "thread"
-        assert choose_executor_name(mixed_plan(), at) == "process"
-
-    def test_resolve_auto_reads_session_telemetry(self, private_cache,
-                                                  monkeypatch):
+    def test_resolve_auto_ignores_observed_costs(self, private_cache,
+                                                 monkeypatch):
+        # A mix that looks replay-dominated (cpu far below wall) still
+        # resolves to processes.
         monkeypatch.setattr(
             TelemetryStore, "observed_costs",
             lambda self: {"simulate": {"mean_wall_s": 10.0,
@@ -154,7 +146,7 @@ class TestAutoExecutor:
                                       "mean_cpu_s": 1.0}})
         resolved = resolve_executor("auto", Session(max_workers=3),
                                     plan=mixed_plan())
-        assert isinstance(resolved, ThreadExecutor)
+        assert isinstance(resolved, ProcessExecutor)
         assert resolved.max_workers == 3
 
     def test_resolve_auto_without_telemetry_is_process(self, monkeypatch):

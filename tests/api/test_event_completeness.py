@@ -29,8 +29,7 @@ def settle_counts(log):
                    if kind in ("finish", "error"))
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process",
-                                     "dispatch"])
+@pytest.mark.parametrize("backend", ["serial", "process", "dispatch"])
 def test_exactly_one_start_and_one_settle_per_stage(backend, private_cache):
     executor = (DispatchExecutor(workers=1) if backend == "dispatch"
                 else backend)

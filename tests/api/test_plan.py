@@ -20,7 +20,6 @@ class TestDagStructure:
         plan = build_plan(SPEC)
         # 2 workloads x 2 distinct CPU counts -> 4 streams.
         assert len(plan.by_kind("capture")) == 4
-        assert len(plan.by_kind("summarize")) == 4
         # 2 workloads x 2 organisations -> 4 cells.
         assert len(plan.by_kind("simulate")) == 4
         # multi-chip yields 1 context, single-chip 2 -> 6 analyses.
@@ -33,8 +32,7 @@ class TestDagStructure:
         plan = build_plan(SPEC)
         simulate = plan.stage("simulate:Apache/multi-chip"
                               "@scale64-warmup0.25")
-        assert "capture:Apache@16cpu" in simulate.deps
-        assert "summarize:Apache@16cpu" in simulate.deps
+        assert simulate.deps == ("capture:Apache@16cpu",)
         analyze = plan.stage("analyze:Apache/intra-chip@scale64-warmup0.25")
         assert analyze.deps == ("simulate:Apache/single-chip"
                                 "@scale64-warmup0.25",)
@@ -165,19 +163,15 @@ class TestEndToEndEquivalence:
         """Acceptance: a planned, replayed, checkpoint-sharded spec run
         renders the same figure output as the legacy entry points, each
         starting from a cold cache."""
-        import warnings
         from repro.experiments.store import CACHE_DIR_ENV
 
-        # Legacy path: run_workload_context-driven figure rendering.
+        # Legacy path: run_context-driven figure rendering.
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "legacy"))
         runner.clear_cache()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for workload in SPEC.workloads:
-                for context in (MULTI_CHIP, SINGLE_CHIP, INTRA_CHIP):
-                    runner.run_workload_context(workload, context,
-                                                size="tiny")
-            legacy = figure2(size="tiny", workloads=SPEC.workloads).render()
+        for workload in SPEC.workloads:
+            for context in (MULTI_CHIP, SINGLE_CHIP, INTRA_CHIP):
+                runner.run_context(workload, context, size="tiny")
+        legacy = figure2(size="tiny", workloads=SPEC.workloads).render()
 
         # New path: spec -> plan -> execute in a separate cold cache.
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "spec"))

@@ -107,8 +107,7 @@ class TestBuiltinEntries:
     def test_late_registered_system_joins_the_sweep_machinery(self):
         # Organisations registered after import must be visible to the
         # live context map and to run_context's context routing.
-        from repro.api import register_system
-        from repro.experiments.parallel import organisation_contexts
+        from repro.api import ExperimentSpec, register_system, spec_contexts
         from repro.experiments.runner import run_context
 
         @register_system("test-org")
@@ -118,7 +117,8 @@ class TestBuiltinEntries:
         _build_test_org.n_cpus = 2
         _build_test_org.contexts = ("test-ctx",)
         try:
-            assert organisation_contexts()["test-org"] == ("test-ctx",)
+            assert (spec_contexts(ExperimentSpec(organisations=("test-org",)))
+                    == ("test-ctx",))
             # Unknown contexts list every registered context, including the
             # late one.
             with pytest.raises(ValueError) as exc:

@@ -1,13 +1,11 @@
-"""Session facade: store ownership, singleton delegation, legacy shims."""
-
-import warnings
+"""Session facade: store ownership, singleton delegation, the suite."""
 
 import pytest
 
 from repro.api import Session, get_default_session, set_default_session
 from repro.checkpoint import get_checkpoint_store
 from repro.experiments import runner
-from repro.experiments.store import CACHE_DISABLE_ENV
+from repro.experiments.store import CACHE_DIR_ENV, CACHE_DISABLE_ENV
 from repro.mem.trace import ALL_CONTEXTS, MULTI_CHIP
 from repro.trace import get_trace_store
 
@@ -117,54 +115,38 @@ class TestRun:
             "v*/context/*.pkl"))) == 1
 
 
-class TestLegacyShims:
-    def test_run_workload_context_warns_and_matches(self, private_cache):
-        session_result = Session().run("Apache", MULTI_CHIP, size="tiny")
-        with pytest.warns(DeprecationWarning, match="run_workload_context"):
-            legacy = runner.run_workload_context("Apache", MULTI_CHIP,
-                                                 size="tiny")
-        assert legacy is session_result
-
-    def test_run_all_contexts_warns_and_matches(self, private_cache):
-        new = Session().run_all("OLTP", size="tiny")
-        with pytest.warns(DeprecationWarning, match="run_all_contexts"):
-            legacy = runner.run_all_contexts("OLTP", size="tiny")
-        assert set(legacy) == set(new)
-        for context in new:
-            assert legacy[context] is new[context]
-
-    def test_run_suite_warns_and_matches(self, private_cache):
-        with pytest.warns(DeprecationWarning, match="run_suite"):
-            legacy = runner.run_suite(size="tiny", workloads=("Qry1",))
-        # The pooled suite returns equal bundles (pool workers pickle their
-        # results back, so object identity is not preserved).
-        new = Session(max_workers=2).suite(size="tiny", workloads=("Qry1",))
-        for context, result in legacy["Qry1"].items():
-            fresh = new["Qry1"][context]
-            assert fresh.n_misses == result.n_misses
-            assert ([r.block for r in fresh.miss_trace]
-                    == [r.block for r in result.miss_trace])
-
-    def test_shim_results_identical_cold_vs_new_api(self, tmp_path,
-                                                    monkeypatch):
-        # Two cold caches: the deprecated path and the Session path must
-        # produce identical bundles, not just identical memo objects.
-        from repro.experiments.store import CACHE_DIR_ENV
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "legacy"))
+class TestSuite:
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_suite_is_the_reshaped_execute(self, tmp_path, monkeypatch,
+                                           executor):
+        # Two roots, so both calls simulate: the suite must equal what
+        # execute() returns for the spec it builds (clamped warm-up, the
+        # default scale, every organisation), reshaped by workload.
+        from repro.api import ExperimentSpec
+        session = Session(max_workers=2, executor=executor)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "suite"))
         runner.clear_cache()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = runner.run_workload_context("Zeus", MULTI_CHIP,
-                                                 size="tiny")
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "session"))
+        suite = session.suite(size="tiny", workloads=("Qry1", "Apache"),
+                              warmup_fraction=0.95)
+        telemetry = session.telemetry_store
+        assert (telemetry.load_manifest(telemetry.last_run_id())["executor"]
+                == executor)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "execute"))
         runner.clear_cache()
-        fresh = Session().run("Zeus", MULTI_CHIP, size="tiny")
+        bundles = session.execute(ExperimentSpec(
+            size="tiny", workloads=("Qry1", "Apache"),
+            warmups=(0.9,))).bundles
         runner.clear_cache()
-        assert fresh.n_misses == legacy.n_misses
-        assert ([r.block for r in fresh.miss_trace]
-                == [r.block for r in legacy.miss_trace])
-        assert (fresh.stream_analysis.fraction_in_streams
-                == legacy.stream_analysis.fraction_in_streams)
+        assert list(suite) == ["Qry1", "Apache"]
+        assert {(workload, context, 64, 0.9)
+                for workload, contexts in suite.items()
+                for context in contexts} == set(bundles)
+        for (workload, context, _, _), bundle in bundles.items():
+            got = suite[workload][context]
+            assert (got.miss_trace.state_dict()
+                    == bundle.miss_trace.state_dict())
+            assert (got.stream_analysis.fraction_in_streams
+                    == bundle.stream_analysis.fraction_in_streams)
 
 
 class TestWarmupClamping:

@@ -1,5 +1,6 @@
 """Shared-prefix warm starts: grouping, planning, and cold/warm equality."""
 
+import dataclasses
 import random
 
 import pytest
@@ -195,6 +196,21 @@ class TestWarmStartExecution:
         # Both member cells restored the published prefix checkpoint.
         assert STATS.warm_starts == warm_before + 2
         assert trace_bytes(warm) == trace_bytes(cold)
+
+    def test_policy_that_skips_prefixes_plans_none(self, tmp_path):
+        spec = dataclasses.replace(SPEC, analyses=("figure2",))
+        _, default_plan, default = fresh_run(tmp_path, "default",
+                                             warm_start=True, spec=spec)
+        assert default_plan.by_kind("prefix")
+        _, plan, result = fresh_run(tmp_path, "no-checkpoint",
+                                    warm_start=True, spec=spec,
+                                    checkpoint=False)
+        assert not plan.by_kind("prefix")
+        assert "skipped" not in result.statuses.values()
+        assert result.render_all() == default.render_all()
+        assert trace_bytes(result) == trace_bytes(default)
+        no_replay = Session(cache_dir=str(tmp_path), replay=False)
+        assert not no_replay.plan(spec).by_kind("prefix")
 
     def test_warm_start_false_never_restores_prefix(self, tmp_path):
         warm_before = STATS.warm_starts

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.api import Session
 from repro.checkpoint import (CheckpointStore, STATS, checkpoint_params,
                               simulate_replay)
 from repro.mem.trace import MULTI_CHIP
@@ -183,7 +184,7 @@ class TestRunnerResume:
         from repro.checkpoint import get_checkpoint_store
         from repro.experiments import runner
         self._fresh_caches()
-        first = runner.run_workload_context("Apache", MULTI_CHIP, size="tiny")
+        first = runner.run_context("Apache", MULTI_CHIP, size="tiny")
         ckpts = get_checkpoint_store()
         assert ckpts is not None and len(ckpts.entries()) >= 1
 
@@ -192,8 +193,7 @@ class TestRunnerResume:
         # epochs after it.
         self._fresh_caches()
         resumes_before = STATS.resumes
-        second = runner.run_workload_context("Apache", MULTI_CHIP,
-                                             size="tiny")
+        second = runner.run_context("Apache", MULTI_CHIP, size="tiny")
         assert STATS.resumes == resumes_before + 1
         assert second.n_misses == first.n_misses
         assert_traces_equal(second.miss_trace, first.miss_trace)
@@ -205,8 +205,8 @@ class TestRunnerResume:
         self._fresh_caches()
         ckpts = get_checkpoint_store()
         ckpts.clear()
-        runner.run_workload_context("OLTP", MULTI_CHIP, size="tiny",
-                                    checkpoint=False)
+        runner.run_context("OLTP", MULTI_CHIP, size="tiny",
+                           session=Session(checkpoint=False))
         assert ckpts.entries() == []
         self._fresh_caches()
 
@@ -214,8 +214,8 @@ class TestRunnerResume:
         from repro.experiments import runner
         from repro.trace import get_trace_store
         self._fresh_caches()
-        first = runner.run_workload_context("Qry1", MULTI_CHIP, size="tiny",
-                                            checkpoint=False)
+        first = runner.run_context("Qry1", MULTI_CHIP, size="tiny",
+                                   session=Session(checkpoint=False))
         traces = get_trace_store()
         path = traces.path_for(trace_params("Qry1", 16, 42, "tiny"))
         segments = sorted(path.glob("seg-*.npz"))
@@ -224,9 +224,8 @@ class TestRunnerResume:
 
         self._fresh_caches()
         with pytest.warns(RuntimeWarning, match="corrupt"):
-            second = runner.run_workload_context("Qry1", MULTI_CHIP,
-                                                 size="tiny",
-                                                 checkpoint=False)
+            second = runner.run_context("Qry1", MULTI_CHIP, size="tiny",
+                                        session=Session(checkpoint=False))
         assert not path.exists()  # the broken trace was dropped
         assert_traces_equal(second.miss_trace, first.miss_trace)
         self._fresh_caches()

@@ -2,7 +2,7 @@
 
 For every randomly generated sequence the grammar must (a) expand back to
 exactly the input, (b) satisfy both SEQUITUR invariants, (c) never be larger
-than the input, and (d) survive a pickle round trip (the parallel runner
+than the input, and (d) survive a pickle round trip (process-pool workers
 and the disk cache both rely on this).
 """
 

@@ -1,9 +1,10 @@
-"""Parallel suite runner: process-pool sweep + disk-cache-served re-run."""
+"""Suite sweeps through ``Session.suite``: the plan scheduler, inline or on
+its process backend, plus the disk-cache-served re-run."""
 
 import pytest
 
-from repro.experiments import ParallelSuiteRunner, runner
-from repro.experiments.parallel import ORGANISATION_CONTEXTS
+from repro.api import ExperimentSpec, SYSTEMS, Session, spec_contexts
+from repro.experiments import runner
 from repro.experiments.store import CACHE_DIR_ENV
 from repro.mem.trace import ALL_CONTEXTS
 
@@ -16,34 +17,38 @@ def _private_cache(tmp_path, monkeypatch):
     runner.clear_cache()
 
 
+def _inline():
+    return Session(max_workers=1)
+
+
+def _pooled():
+    return Session(max_workers=2, executor="process")
+
+
 def test_organisation_contexts_cover_all():
-    covered = [c for contexts in ORGANISATION_CONTEXTS.values()
-               for c in contexts]
-    assert sorted(covered) == sorted(ALL_CONTEXTS)
+    assert sorted(spec_contexts(ExperimentSpec())) == sorted(ALL_CONTEXTS)
 
 
 def test_rejects_bad_worker_count():
     with pytest.raises(ValueError):
-        ParallelSuiteRunner(max_workers=0)
+        Session(max_workers=0)
 
 
 def test_suite_rejects_unknown_organisation():
     with pytest.raises(ValueError, match="mega-chip"):
-        ParallelSuiteRunner(max_workers=1).run_suite(
-            size="tiny", workloads=("Apache",),
-            organisations=("mega-chip",))
+        _inline().suite(size="tiny", workloads=("Apache",),
+                        organisations=("mega-chip",))
 
 
 def test_inline_suite_matches_serial_runner(tmp_path, monkeypatch):
     workloads = ("Apache", "Qry1")
-    parallel = ParallelSuiteRunner(max_workers=1).run_suite(
-        size="tiny", workloads=workloads)
+    suite = _inline().suite(size="tiny", workloads=workloads)
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "serial"))
     runner.clear_cache()
-    serial = runner.run_suite(size="tiny", workloads=workloads)
+    serial = _serial_bundles(workloads)
     for workload in workloads:
         for context in ALL_CONTEXTS:
-            assert (parallel[workload][context].n_misses
+            assert (suite[workload][context].n_misses
                     == serial[workload][context].n_misses)
 
 
@@ -68,12 +73,12 @@ def _assert_bundles_equal(got, want):
             == want.stream_analysis.fraction_in_streams)
 
 
-@pytest.mark.parametrize("organisation", sorted(ORGANISATION_CONTEXTS))
+@pytest.mark.parametrize("organisation", sorted(SYSTEMS.names()))
 def test_organisation_subset_matches_serial(tmp_path, monkeypatch,
                                             organisation):
-    results = ParallelSuiteRunner(max_workers=1).run_suite(
-        size="tiny", workloads=("Apache",), organisations=(organisation,))
-    contexts = ORGANISATION_CONTEXTS[organisation]
+    results = _inline().suite(size="tiny", workloads=("Apache",),
+                              organisations=(organisation,))
+    contexts = SYSTEMS.get(organisation).contexts
     assert set(results["Apache"]) == set(contexts)
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "serial"))
     runner.clear_cache()
@@ -87,8 +92,7 @@ def test_suite_resimulates_lost_bundles_bit_identically(tmp_path):
     reference = _serial_bundles(("Apache",))
     assert _delete_result_bundles(tmp_path) == len(ALL_CONTEXTS)
     runner.clear_cache()
-    results = ParallelSuiteRunner(max_workers=2).run_suite(
-        size="tiny", workloads=("Apache",))
+    results = _pooled().suite(size="tiny", workloads=("Apache",))
     for context in ALL_CONTEXTS:
         _assert_bundles_equal(results["Apache"][context],
                               reference["Apache"][context])
@@ -101,13 +105,12 @@ def test_suite_resumes_lost_bundles_from_checkpoints(tmp_path, monkeypatch):
     from repro.checkpoint import STATS, get_checkpoint_store, replay
     monkeypatch.setattr(replay, "CHECKPOINT_INTERVAL_S", 0.0)
     reference = _serial_bundles(("Apache",))
-    assert len(get_checkpoint_store().runs()) == len(ORGANISATION_CONTEXTS)
+    assert len(get_checkpoint_store().runs()) == len(SYSTEMS.names())
     _delete_result_bundles(tmp_path)
     runner.clear_cache()
     resumes_before = STATS.resumes
-    results = ParallelSuiteRunner(max_workers=1).run_suite(
-        size="tiny", workloads=("Apache",))
-    assert STATS.resumes == resumes_before + len(ORGANISATION_CONTEXTS)
+    results = _inline().suite(size="tiny", workloads=("Apache",))
+    assert STATS.resumes == resumes_before + len(SYSTEMS.names())
     for context in ALL_CONTEXTS:
         _assert_bundles_equal(results["Apache"][context],
                               reference["Apache"][context])
@@ -117,8 +120,7 @@ def test_suite_repersists_bundles(tmp_path, monkeypatch):
     _serial_bundles(("OLTP",))
     _delete_result_bundles(tmp_path)
     runner.clear_cache()
-    ParallelSuiteRunner(max_workers=2).run_suite(size="tiny",
-                                                 workloads=("OLTP",))
+    _pooled().suite(size="tiny", workloads=("OLTP",))
     # The pool workers wrote the bundles back under the runner's own keys.
     assert len(list(tmp_path.glob("v*/context/*.pkl"))) == len(ALL_CONTEXTS)
     runner.clear_cache()
@@ -127,16 +129,14 @@ def test_suite_repersists_bundles(tmp_path, monkeypatch):
         raise AssertionError("re-simulated despite repersisted bundles")
 
     monkeypatch.setattr(runner, "_simulate", boom)
-    rerun = ParallelSuiteRunner(max_workers=1).run_suite(size="tiny",
-                                                         workloads=("OLTP",))
+    rerun = _inline().suite(size="tiny", workloads=("OLTP",))
     assert rerun["OLTP"]["multi-chip"].n_misses > 0
 
 
 def test_process_pool_small_sweep_and_cached_rerun(monkeypatch):
     """Acceptance: small-size sweep over the pool; re-run served from disk."""
     workloads = ("Apache", "OLTP", "Qry1")
-    results = ParallelSuiteRunner(max_workers=2).run_suite(
-        size="small", workloads=workloads)
+    results = _pooled().suite(size="small", workloads=workloads)
     assert set(results) == set(workloads)
     for workload in workloads:
         assert set(results[workload]) == set(ALL_CONTEXTS)
@@ -156,8 +156,7 @@ def test_process_pool_small_sweep_and_cached_rerun(monkeypatch):
         raise AssertionError("re-simulated despite populated disk cache")
 
     monkeypatch.setattr(runner, "_simulate", boom)
-    rerun = ParallelSuiteRunner(max_workers=1).run_suite(
-        size="small", workloads=workloads)
+    rerun = _inline().suite(size="small", workloads=workloads)
     for workload in workloads:
         for context in ALL_CONTEXTS:
             assert (rerun[workload][context].n_misses

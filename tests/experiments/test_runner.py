@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.api import Session
 from repro.experiments import (clear_cache, figure1, figure2, figure3, figure4,
                                prefetcher_ablation, render_table1,
-                               render_table2, run_all_contexts,
-                               run_workload_context, stream_finder_ablation,
+                               render_table2, run_context,
+                               stream_finder_ablation,
                                stride_sensitivity, table1, table2, table3,
                                table4, table5)
 from repro.mem.trace import ALL_CONTEXTS, INTRA_CHIP, MULTI_CHIP, SINGLE_CHIP
@@ -20,7 +21,7 @@ def _warm_cache():
 
 class TestRunner:
     def test_run_single_context(self):
-        result = run_workload_context("Apache", MULTI_CHIP, size="tiny")
+        result = run_context("Apache", MULTI_CHIP, size="tiny")
         assert result.n_misses > 100
         assert result.miss_trace.context == MULTI_CHIP
         assert 0.0 <= result.stream_analysis.fraction_in_streams <= 1.0
@@ -28,22 +29,22 @@ class TestRunner:
         result.modules.check_consistency()
 
     def test_results_are_cached(self):
-        first = run_workload_context("Apache", MULTI_CHIP, size="tiny")
-        second = run_workload_context("Apache", MULTI_CHIP, size="tiny")
+        first = run_context("Apache", MULTI_CHIP, size="tiny")
+        second = run_context("Apache", MULTI_CHIP, size="tiny")
         assert first is second
 
     def test_single_chip_and_intra_chip_share_simulation(self):
-        off = run_workload_context("Apache", SINGLE_CHIP, size="tiny")
-        intra = run_workload_context("Apache", INTRA_CHIP, size="tiny")
+        off = run_context("Apache", SINGLE_CHIP, size="tiny")
+        intra = run_context("Apache", INTRA_CHIP, size="tiny")
         assert off.miss_trace.instructions == intra.miss_trace.instructions
 
     def test_all_contexts(self):
-        results = run_all_contexts("Qry1", size="tiny")
+        results = Session().run_all("Qry1", size="tiny")
         assert set(results) == set(ALL_CONTEXTS)
 
     def test_unknown_context_rejected(self):
         with pytest.raises(ValueError):
-            run_workload_context("Apache", "mega-chip", size="tiny")
+            run_context("Apache", "mega-chip", size="tiny")
 
 
 class TestFigures:

@@ -102,16 +102,14 @@ class TestRunnerDiskCache:
         runner.clear_cache()
 
     def test_result_persisted_on_first_run(self):
-        result = runner.run_workload_context("Apache", "multi-chip",
-                                             size="tiny")
+        result = runner.run_context("Apache", "multi-chip", size="tiny")
         store = runner.get_store()
         assert store is not None
         assert len(store.entries()) == 1
         assert result.n_misses > 0
 
     def test_second_process_equivalent_load_skips_simulation(self, monkeypatch):
-        first = runner.run_workload_context("Apache", "multi-chip",
-                                            size="tiny")
+        first = runner.run_context("Apache", "multi-chip", size="tiny")
         # Fresh process simulation: drop the in-memory memo, then poison the
         # simulator — a cache hit must not call it.
         runner.clear_cache()
@@ -120,8 +118,7 @@ class TestRunnerDiskCache:
             raise AssertionError("simulated despite disk cache hit")
 
         monkeypatch.setattr(runner, "_simulate", boom)
-        second = runner.run_workload_context("Apache", "multi-chip",
-                                             size="tiny")
+        second = runner.run_context("Apache", "multi-chip", size="tiny")
         assert second is not first  # loaded from disk, not the memo
         assert second.n_misses == first.n_misses
         assert ([r.block for r in second.miss_trace]
@@ -133,10 +130,8 @@ class TestRunnerDiskCache:
                 == second.miss_trace.addresses())
 
     def test_memo_preserves_identity_within_process(self):
-        first = runner.run_workload_context("Apache", "multi-chip",
-                                            size="tiny")
-        second = runner.run_workload_context("Apache", "multi-chip",
-                                             size="tiny")
+        first = runner.run_context("Apache", "multi-chip", size="tiny")
+        second = runner.run_context("Apache", "multi-chip", size="tiny")
         assert first is second
 
     def test_clear_cache_disk_flag(self, monkeypatch):
@@ -144,7 +139,7 @@ class TestRunnerDiskCache:
         # boundary but the last, as a long run would at its interval.
         from repro.checkpoint import replay
         monkeypatch.setattr(replay, "CHECKPOINT_INTERVAL_S", 0.0)
-        runner.run_workload_context("Apache", "multi-chip", size="tiny")
+        runner.run_context("Apache", "multi-chip", size="tiny")
         # One analysis bundle, the captured access trace, and the run's
         # epoch-boundary checkpoints.
         checkpoints = get_checkpoint_store()
@@ -159,8 +154,7 @@ class TestRunnerDiskCache:
 
     def test_disabled_store_still_computes(self, monkeypatch):
         monkeypatch.setenv(CACHE_DISABLE_ENV, "1")
-        result = runner.run_workload_context("Apache", "multi-chip",
-                                             size="tiny")
+        result = runner.run_context("Apache", "multi-chip", size="tiny")
         assert result.n_misses > 0
 
 
@@ -168,8 +162,7 @@ class TestContextResultPickle:
     def test_bundle_round_trips(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         runner.clear_cache()
-        result = runner.run_workload_context("OLTP", "intra-chip",
-                                             size="tiny")
+        result = runner.run_context("OLTP", "intra-chip", size="tiny")
         clone = pickle.loads(pickle.dumps(result))
         assert clone.n_misses == result.n_misses
         assert clone.stream_analysis.grammar.expand() == \

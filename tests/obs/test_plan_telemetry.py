@@ -12,7 +12,7 @@ SPEC = ExperimentSpec(
     prefetchers=("temporal",), analyses=("table1",))
 
 #: Kinds whose compute runs on the executor backend (worker-origin spans).
-BACKEND_KINDS = {"capture", "summarize", "simulate"}
+BACKEND_KINDS = {"capture", "simulate"}
 
 
 def span_keys(store, run_id):
@@ -78,8 +78,8 @@ class TestRunRecording:
         session = Session(max_workers=1)
         session.execute(SPEC)
         costs = TelemetryStore(private_cache).observed_costs()
-        assert set(costs) == {"capture", "summarize", "simulate",
-                              "analyze", "prefetch", "render"}
+        assert set(costs) == {"capture", "simulate", "analyze", "prefetch",
+                              "render"}
         for cost in costs.values():
             assert cost["count"] >= 1
 

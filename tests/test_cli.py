@@ -78,6 +78,15 @@ def test_suite_then_cached_rerun(tmp_path):
     assert {p: p.stat().st_mtime_ns for p in entries_after} == mtimes
 
 
+def test_flag_driven_suite_records_a_telemetry_run(tmp_path):
+    run_cli(["suite", "--size", "tiny", "--workloads", "Apache",
+             "--jobs", "1"], tmp_path)
+    last = run_cli(["stats", "--last"], tmp_path)
+    assert "suite via serial" in last.stdout
+    for organisation in ("multi-chip", "single-chip"):
+        assert f"simulate:Apache/{organisation}" in last.stdout
+
+
 def test_report_renders_tables(tmp_path):
     proc = run_cli(["report", "--artifact", "table2"], tmp_path)
     assert "table2" in proc.stdout
@@ -121,7 +130,7 @@ def test_trace_capture_list_info(tmp_path):
     assert "1 trace" in listing.stdout
 
     info = run_cli(["trace", "info", "Apache", "--size", "tiny",
-                    "--cpus", "4", "--seed", "3", "--jobs", "2"], tmp_path)
+                    "--cpus", "4", "--seed", "3"], tmp_path)
     assert "epoch" in info.stdout
     assert "merged" in info.stdout
 
@@ -203,6 +212,15 @@ def test_run_no_checkpoint_flag(tmp_path):
     run_cli(["run", "Apache", "multi-chip", "--size", "tiny",
              "--no-checkpoint"], tmp_path, every_boundary=True)
     assert not list(Path(tmp_path).glob("checkpoints/v*/*/epoch-*.chain.json"))
+
+
+def test_checkpoint_info_shows_the_shared_prefix(tmp_path):
+    run_cli(["suite", "--spec", "examples/spec_prefix.toml", "--jobs", "1"],
+            tmp_path)
+    info = run_cli(["checkpoint", "info", "Apache", "--size", "tiny",
+                    "--warmup", "0.6"], tmp_path)
+    assert "shared prefix holds 1 checkpoint" in info.stdout
+    assert "warm-start prefix: epoch 1" in info.stdout
 
 
 def test_checkpoint_info_missing_run_fails(tmp_path):
@@ -312,8 +330,7 @@ def test_spec_plan_format_json_exports_dag(tmp_path):
     data = json.loads(proc.stdout)
     assert data["spec"]["name"] == "cli-spec"
     kinds = {entry["kind"] for entry in data["stages"]}
-    assert {"capture", "summarize", "simulate", "analyze",
-            "render"} <= kinds
+    assert {"capture", "simulate", "analyze", "render"} <= kinds
     keyed = {entry["key"]: entry for entry in data["stages"]}
     assert "capture:Apache@16cpu" in keyed["simulate:Apache/multi-chip"
                                            "@scale64-warmup0.25"]["deps"]
@@ -323,8 +340,8 @@ def test_spec_plan_format_dot_exports_graph(tmp_path):
     spec = _write_spec(tmp_path)
     proc = run_cli(["spec", "plan", spec, "--format", "dot"], tmp_path)
     assert proc.stdout.startswith('digraph "cli-spec"')
-    assert ('"capture:Apache@16cpu" -> "summarize:Apache@16cpu";'
-            in proc.stdout)
+    assert ('"capture:Apache@16cpu" -> '
+            '"simulate:Apache/multi-chip@scale64-warmup0.25";' in proc.stdout)
 
 
 def test_suite_with_spec_accepts_executor_and_progress(tmp_path):
@@ -338,7 +355,7 @@ def test_suite_with_spec_accepts_executor_and_progress(tmp_path):
 
 
 def test_executor_flag_requires_spec(tmp_path):
-    proc = run_cli(["suite", "--executor", "thread", "--size", "tiny"],
+    proc = run_cli(["suite", "--executor", "process", "--size", "tiny"],
                    tmp_path, check=False)
     assert proc.returncode == 2
     assert "--executor" in proc.stderr and "--spec" in proc.stderr
@@ -441,8 +458,7 @@ def test_stats_tables_plan_costs_and_clear(tmp_path):
     assert "telemetry store" in listing.stdout
     assert "cli-telemetry via serial" in listing.stdout
     last = run_cli(["stats", "--last"], tmp_path)
-    for kind in ("capture", "summarize", "simulate", "analyze",
-                 "prefetch", "render"):
+    for kind in ("capture", "simulate", "analyze", "prefetch", "render"):
         assert kind in last.stdout, f"stage kind {kind} missing from stats"
     assert "worker" in last.stdout and "scheduler" in last.stdout
     assert "wall s" in last.stdout and "rss MiB" in last.stdout

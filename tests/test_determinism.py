@@ -1,6 +1,6 @@
 """Determinism guard: fixed seed => identical results across fresh runs.
 
-Two complete runs of ``run_workload_context`` with the same seed — with both
+Two complete runs of ``run_context`` with the same seed — with both
 cache levels cleared in between — must produce byte-identical classification,
 length, and reuse summaries.  This is what makes the disk cache sound and
 the paper's numbers reproducible.
@@ -38,7 +38,7 @@ def test_fixed_seed_reproduces_identical_bundles(context, tmp_path,
         # Separate disk roots so nothing can leak between the two runs.
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / f"run{run_id}"))
         runner.clear_cache()
-        return _summaries(runner.run_workload_context(
+        return _summaries(runner.run_context(
             "Zeus", context, size="tiny", seed=1234))
 
     first = fresh_run(1)
@@ -51,8 +51,8 @@ def test_different_seeds_differ(tmp_path, monkeypatch):
     """Sanity check that the guard above is not vacuous."""
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
     runner.clear_cache()
-    a = runner.run_workload_context("Zeus", MULTI_CHIP, size="tiny", seed=1)
-    b = runner.run_workload_context("Zeus", MULTI_CHIP, size="tiny", seed=2)
+    a = runner.run_context("Zeus", MULTI_CHIP, size="tiny", seed=1)
+    b = runner.run_context("Zeus", MULTI_CHIP, size="tiny", seed=2)
     assert ([r.block for r in a.miss_trace]
             != [r.block for r in b.miss_trace])
     runner.clear_cache()

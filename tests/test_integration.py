@@ -9,26 +9,26 @@ and how they move with trace length).
 import pytest
 
 from repro.core import StreamLabel
-from repro.experiments import clear_cache, run_workload_context
+from repro.experiments import clear_cache, run_context
 from repro.mem import IntraChipClass, MissClass
 from repro.mem.trace import INTRA_CHIP, MULTI_CHIP, SINGLE_CHIP
 
 
 @pytest.fixture(scope="module")
 def apache():
-    return {context: run_workload_context("Apache", context, size="tiny")
+    return {context: run_context("Apache", context, size="tiny")
             for context in (MULTI_CHIP, SINGLE_CHIP, INTRA_CHIP)}
 
 
 @pytest.fixture(scope="module")
 def oltp():
-    return {context: run_workload_context("OLTP", context, size="tiny")
+    return {context: run_context("OLTP", context, size="tiny")
             for context in (MULTI_CHIP, SINGLE_CHIP, INTRA_CHIP)}
 
 
 @pytest.fixture(scope="module")
 def dss():
-    return {context: run_workload_context("Qry1", context, size="tiny")
+    return {context: run_context("Qry1", context, size="tiny")
             for context in (MULTI_CHIP, SINGLE_CHIP)}
 
 

@@ -1,9 +1,9 @@
 """Streaming-vs-eager-vs-replay equivalence for the whole access pipeline.
 
 The streaming pipeline (``Workload.iter_accesses`` -> ``run_stream``) must be
-observationally identical to the historical eager path
-(``Workload.generate`` -> ``run``): same accesses, same order, same miss
-traces, same warm-up behaviour — only the memory profile differs.  The same
+observationally identical to the eager reference (``Workload.generate`` ->
+``run``): same accesses, same order, same miss traces, same warm-up
+behaviour — only the memory profile differs.  The same
 contract extends to trace replay: simulating from a captured columnar trace
 (``TraceReader.iter_epochs`` -> ``run_chunks``, the vectorised fast path)
 must yield a miss trace identical to simulating live generation.
@@ -11,6 +11,7 @@ must yield a miss trace identical to simulating live generation.
 
 import pytest
 
+from repro.api import Session
 from repro.mem import (MultiChipSystem, SingleChipSystem, iter_chunks,
                        multichip_config, singlechip_config)
 from repro.mem.trace import DEFAULT_CHUNK_SIZE
@@ -201,8 +202,8 @@ class TestRunnerReplayCache:
         runner.clear_cache()
         GENERATION_STATS.reset()
         STATS.reset()
-        first = runner.run_workload_context("Apache", "multi-chip",
-                                            size="tiny", seed=33)
+        first = runner.run_context("Apache", "multi-chip", size="tiny",
+                                   seed=33)
         # Capture-on-first-run: one generation (the tee'd counting pass),
         # then the simulation pass replays the fresh capture.
         assert GENERATION_STATS.runs == 1
@@ -212,9 +213,8 @@ class TestRunnerReplayCache:
         runner.clear_cache()
         GENERATION_STATS.reset()
         STATS.reset()
-        second = runner.run_workload_context("Apache", "multi-chip",
-                                             size="tiny", seed=33,
-                                             warmup_fraction=0.5)
+        second = runner.run_context("Apache", "multi-chip", size="tiny",
+                                    seed=33, warmup_fraction=0.5)
         assert GENERATION_STATS.runs == 0  # served by replay, not generators
         assert STATS.hits >= 1 and STATS.captures == 0
         assert second.n_misses != 0
@@ -227,14 +227,13 @@ class TestRunnerReplayCache:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         runner.clear_cache()
-        runner.run_workload_context("Zeus", "multi-chip", size="tiny")
+        runner.run_context("Zeus", "multi-chip", size="tiny")
         store = get_trace_store()
         assert store.contains(trace_params("Zeus", 16, 42, "tiny"))
         # A different scale simulates again but replays the same trace.
         runner.clear_cache()
         GENERATION_STATS.reset()
-        runner.run_workload_context("Zeus", "multi-chip", size="tiny",
-                                    scale=32)
+        runner.run_context("Zeus", "multi-chip", size="tiny", scale=32)
         assert GENERATION_STATS.runs == 0
 
     def test_no_replay_flag_bypasses_trace_store(self, tmp_path, monkeypatch):
@@ -244,8 +243,8 @@ class TestRunnerReplayCache:
         runner.clear_cache()
         GENERATION_STATS.reset()
         STATS.reset()
-        runner.run_workload_context("Qry2", "multi-chip", size="tiny",
-                                    replay=False)
+        runner.run_context("Qry2", "multi-chip", size="tiny",
+                           session=Session(replay=False))
         assert GENERATION_STATS.runs == 2  # counting pass + simulation pass
         assert STATS.captures == 0
         store = get_trace_store()
@@ -255,18 +254,23 @@ class TestRunnerReplayCache:
 class TestRunnerStreamingParity:
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_bundles_match_in_multichip_context(self, name, monkeypatch):
-        """Streaming and eager runner paths build identical bundles."""
+        """The runner's streaming path (no trace store: a counting pass,
+        then a second generation) builds the bundle that the eager
+        reference — the materialised trace simulated directly — does."""
         from repro.experiments import runner
 
-        def build(streaming):
-            runner.clear_cache()
-            monkeypatch.setenv("REPRO_DISABLE_DISK_CACHE", "1")
-            return runner.run_workload_context(
-                name, "multi-chip", size="tiny", seed=21,
-                streaming=streaming)
-
-        via_stream = build(True)
-        via_eager = build(False)
+        runner.clear_cache()
+        monkeypatch.setenv("REPRO_DISABLE_DISK_CACHE", "1")
+        via_stream = runner.run_context(name, "multi-chip", size="tiny",
+                                        seed=21)
+        runner.clear_cache()
+        trace = create_workload(name, n_cpus=16, seed=21,
+                                size="tiny").generate()
+        system = runner._build_system("multi-chip", runner.DEFAULT_SCALE)
+        warmup = int(len(trace) * runner.DEFAULT_WARMUP_FRACTION)
+        via_eager = runner._analyze(name, "multi-chip",
+                                    system.run_stream(iter(trace),
+                                                      warmup=warmup))
         assert via_stream.n_misses == via_eager.n_misses
         assert ([_miss_key(r) for r in via_stream.miss_trace]
                 == [_miss_key(r) for r in via_eager.miss_trace])

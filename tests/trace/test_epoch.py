@@ -1,12 +1,11 @@
-"""Epoch summaries: vectorised counting, deterministic merge, fan-out."""
+"""Epoch summaries: vectorised counting, deterministic merge."""
 
 import pytest
 
-from repro.experiments import ParallelSuiteRunner
 from repro.mem import AccessKind
 from repro.trace import (CaptureWriter, ColumnarChunk, EpochSummary,
                          TraceReader, merge_summaries, summarize_chunk,
-                         summarize_trace, summarize_trace_epoch)
+                         summarize_trace)
 
 from .conftest import make_accesses
 
@@ -67,19 +66,7 @@ class TestMerge:
         assert merged.distinct_blocks == 7
 
 
-class TestEpochFanOut:
-    def test_worker_entry_point(self, reader):
-        index, summary = summarize_trace_epoch(reader.path, 1)
-        assert index == 1
-        assert summary == summarize_chunk(reader.epoch(1))
-
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_parallel_equals_sequential(self, reader, max_workers):
-        sequential = summarize_trace(reader)
-        parallel = ParallelSuiteRunner(
-            max_workers=max_workers).summarize_trace(reader)
-        assert parallel == sequential
-
+class TestSummarizeTrace:
     def test_describe_mentions_span(self, reader):
         text = summarize_trace(reader).describe()
         assert "epochs 0.." in text and "accesses" in text
