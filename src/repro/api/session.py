@@ -243,13 +243,15 @@ class Session:
               warmup_fraction: Optional[float] = None,
               workloads: Optional[Tuple[str, ...]] = None,
               organisations: Optional[Tuple[str, ...]] = None,
+              events: Any = None,
               ) -> Dict[str, Dict[str, "ContextResult"]]:
         """The evaluation sweep as ``{workload: {context: bundle}}``.
 
         Builds one :class:`~repro.api.spec.ExperimentSpec` over
         ``workloads`` x ``organisations`` (default: every registered one)
         at one scale and the clamped warm-up, and runs it through
-        :meth:`execute` under this session's ``executor`` policy.
+        :meth:`execute` under this session's ``executor`` policy;
+        ``events`` is passed on to :meth:`execute`.
         """
         from ..experiments import runner
         from .spec import ExperimentSpec, spec_contexts
@@ -262,7 +264,7 @@ class Session:
             workloads=tuple(workloads or ()),
             organisations=tuple(organisations or ()),
             scales=(scale,), warmups=(warmup,)).resolved()
-        bundles = self.execute(spec).bundles
+        bundles = self.execute(spec, events=events).bundles
         return {workload: {context: bundles[(workload, context, scale,
                                              warmup)]
                            for context in spec_contexts(spec)}

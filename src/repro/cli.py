@@ -85,12 +85,13 @@ through the trace store (default: replay) and
 crash-resume snapshots of long simulations and resuming from them (default:
 both on).
 
-Spec-driven executions additionally accept ``--executor
-serial|process|dispatch|auto`` to pick the stage execution backend
-(default: ``process``, or ``serial`` with ``--jobs 1``; ``auto`` runs a
-plan with at most one backend stage serially), ``--progress``
-to render the scheduler's stage lifecycle events live on stderr, and
-``--profile`` to cProfile every stage into the run's telemetry directory.
+Plan executions (``suite``, and ``run``/``report`` with ``--spec``)
+additionally accept ``--executor serial|process|dispatch|auto`` to pick the
+stage execution backend (default: ``process``, or ``serial`` with
+``--jobs 1``; ``auto`` runs a plan with at most one backend stage
+serially), ``--progress`` to render the scheduler's stage lifecycle events
+live on stderr, and ``--profile`` to cProfile every stage into the run's
+telemetry directory.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from .api.executor import EXECUTOR_NAMES
+from .api.executor import EXECUTOR_NAMES, ExecutorSetupError
 from .mem.config import DEFAULT_SCALE
 from .mem.trace import ALL_CONTEXTS
 from .workloads import WORKLOAD_NAMES
@@ -148,17 +149,17 @@ def _add_run_params(parser: argparse.ArgumentParser) -> None:
 def _add_spec_exec_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--executor", default=None,
                         choices=EXECUTOR_NAMES + ("auto",),
-                        help="stage execution backend for --spec runs; "
+                        help="stage execution backend of the plan; "
                              "'auto' picks serial for a plan with at most "
                              "one backend stage, process otherwise "
                              "(default: process, or serial with --jobs 1)")
     parser.add_argument("--progress", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="render stage lifecycle events live on stderr "
-                             "during --spec execution")
+                             "during plan execution")
     parser.add_argument("--profile", action="store_true",
-                        help="cProfile each stage of a --spec execution, "
-                             "writing per-stage .prof files into the run's "
+                        help="cProfile each stage of the plan, writing "
+                             "per-stage .prof files into the run's "
                              "telemetry directory (see `repro stats`)")
 
 
@@ -545,7 +546,7 @@ def _session_from_args(args: argparse.Namespace):
 
 
 def _spec_events(args: argparse.Namespace):
-    """The :class:`~repro.api.PlanEvents` for a spec execution (or None)."""
+    """The :class:`~repro.api.PlanEvents` for a plan execution (or None)."""
     if not getattr(args, "progress", False):
         return None
     from .api import PlanEvents
@@ -582,7 +583,6 @@ def _spec_events(args: argparse.Namespace):
 def _execute_spec(session, spec, args: argparse.Namespace):
     """Run a spec through the session; returns (outcome, error_message)."""
     from .api import PlanExecutionError
-    from .api.executor import ExecutorSetupError
     try:
         return session.execute(spec, events=_spec_events(args)), None
     except PlanExecutionError as exc:
@@ -659,7 +659,8 @@ def _print_bundle(workload: str, context: str, result, size: str, seed: int,
 
 
 def _spec_only_flags(args: argparse.Namespace) -> bool:
-    """Reject --executor/--progress/--profile outside a --spec execution."""
+    """Reject --executor/--progress/--profile on a ``run``/``report``
+    without --spec: those render one cell or lazily, executing no plan."""
     offending = [flag for flag in ("executor", "progress", "profile")
                  if getattr(args, flag, None)]
     if getattr(args, "spec", None) is None and offending:
@@ -730,7 +731,7 @@ def _print_suite_table(workloads, contexts, results, size, jobs_label,
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    if _bad_jobs(args) or _spec_only_flags(args):
+    if _bad_jobs(args):
         return 2
     session = _session_from_args(args)
     jobs = "inline" if args.jobs == 1 else f"jobs={args.jobs or 'auto'}"
@@ -769,8 +770,14 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         return 2
     start = time.time()
     # A spec rejects duplicate workloads; the flag has always tolerated them.
-    results = session.suite(size=args.size, seed=args.seed, scale=args.scale,
-                            workloads=tuple(dict.fromkeys(args.workloads)))
+    try:
+        results = session.suite(
+            size=args.size, seed=args.seed, scale=args.scale,
+            workloads=tuple(dict.fromkeys(args.workloads)),
+            events=_spec_events(args))
+    except ExecutorSetupError as exc:  # e.g. dispatch without a disk cache
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _print_suite_table(args.workloads, ALL_CONTEXTS, results, args.size,
                        jobs, time.time() - start)
     return 0

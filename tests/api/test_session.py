@@ -148,6 +148,19 @@ class TestSuite:
             assert (got.stream_analysis.fraction_in_streams
                     == bundle.stream_analysis.fraction_in_streams)
 
+    def test_suite_passes_events_to_execute(self, private_cache):
+        from repro.api import EventLog
+        log = EventLog()
+        Session(max_workers=1).suite(size="tiny", workloads=("Apache",),
+                                     events=log)
+        started = [key for event, key, _ in log.events if event == "start"]
+        finished = [key for event, key, _ in log.events if event == "finish"]
+        assert sorted(started) == sorted(finished)
+        assert len(started) == len(set(started))
+        assert {key.split("@")[0] for key in started
+                if key.startswith("simulate:")} == {
+            "simulate:Apache/multi-chip", "simulate:Apache/single-chip"}
+
 
 class TestWarmupClamping:
     def test_out_of_range_fractions_share_one_key(self, private_cache):

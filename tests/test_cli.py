@@ -354,9 +354,40 @@ def test_suite_with_spec_accepts_executor_and_progress(tmp_path):
     assert len(list(Path(tmp_path).glob("v*/context/*.pkl"))) == 3
 
 
-def test_executor_flag_requires_spec(tmp_path):
-    proc = run_cli(["suite", "--executor", "process", "--size", "tiny"],
+@pytest.mark.parametrize("executor", ["serial", "process", "auto"])
+def test_flag_driven_suite_accepts_executor_and_progress(tmp_path, executor):
+    args = ["suite", "--size", "tiny", "--workloads", "Apache"]
+    plain = run_cli(args + ["--jobs", "1"], tmp_path / "plain")
+    flagged = run_cli(args + ["--executor", executor, "--progress"],
+                      tmp_path / "flagged")
+    assert "[ simulate] simulate:Apache/multi-chip" in flagged.stderr
+    assert "[ simulate]" not in plain.stderr
+
+    def miss_table(stdout):  # the header line carries the elapsed time
+        return stdout.splitlines()[1:]
+
+    assert miss_table(flagged.stdout) == miss_table(plain.stdout)
+
+
+def test_flag_driven_suite_profile_writes_per_stage_prof_files(tmp_path):
+    run_cli(["suite", "--size", "tiny", "--workloads", "Apache", "--jobs",
+             "1", "--profile"], tmp_path)
+    profs = {p.name for p in (Path(tmp_path) / "telemetry").glob("*/*.prof")}
+    assert any(name.startswith("simulate") for name in profs), profs
+
+
+def test_flag_driven_suite_reports_executor_setup_error(tmp_path):
+    proc = run_cli(["suite", "--size", "tiny", "--workloads", "Apache",
+                    "--executor", "dispatch", "--no-disk-cache"],
                    tmp_path, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_executor_flag_requires_spec(tmp_path):
+    proc = run_cli(["run", "Apache", "multi-chip", "--executor", "process",
+                    "--size", "tiny"], tmp_path, check=False)
     assert proc.returncode == 2
     assert "--executor" in proc.stderr and "--spec" in proc.stderr
 
@@ -493,6 +524,13 @@ def test_profile_flag_requires_spec(tmp_path):
                    check=False)
     assert proc.returncode == 2
     assert "--profile" in proc.stderr and "--spec" in proc.stderr
+
+
+def test_flag_driven_report_refuses_plan_flags(tmp_path):
+    proc = run_cli(["report", "--artifact", "table2", "--progress"],
+                   tmp_path, check=False)
+    assert proc.returncode == 2
+    assert "--progress" in proc.stderr and "--spec" in proc.stderr
 
 
 def test_stats_unknown_run_fails(tmp_path):
